@@ -9,8 +9,9 @@ envelope as JSON (config echo, per-strategy summaries, comparison table,
 seed, version) or as CSV (one comparison row per strategy). Identical
 arguments always produce byte-identical output.
 
-Exit codes: 0 success, 2 configuration error, 3 internal invariant
-violation, 4 output I/O error.
+Exit codes: 0 success, 2 configuration error, 3 internal error (an
+invariant, protocol-order or aggregation failure while running or
+summarizing), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +34,9 @@ from .distributed import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
-    run_trials,
+    iter_trials,
 )
-from .errors import ConfigurationError, InvariantError, UsageError
+from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
 from .ledger import StrategyRow, TrialSummary, compare_strategies, strategy_row, summarize
 
 _CLI_STRATEGIES = {
@@ -156,7 +158,11 @@ def _render_csv(envelope: OutputEnvelope) -> str:
 def emit_report(
     envelope: OutputEnvelope, output_format: str, destination: Path | None
 ) -> None:
-    """Render the envelope and write it to a file or stdout."""
+    """Render the envelope and write it to a file or stdout.
+
+    A file is written under a temporary name in the same directory and
+    renamed into place, so the destination never holds a partial report.
+    """
     if not envelope.summaries:
         raise UsageError("envelope has no summaries to emit")
     if output_format == "json":
@@ -167,8 +173,13 @@ def emit_report(
         raise UsageError(f"unknown output format {output_format!r}")
     if destination is None:
         sys.stdout.write(rendered)
-    else:
-        destination.write_text(rendered)
+        return
+    partial = destination.with_name(f".{destination.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(rendered)
+        os.replace(partial, destination)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def run_command(argv: list[str] | None = None) -> int:
@@ -191,19 +202,19 @@ def run_command(argv: list[str] | None = None) -> int:
             )
             for strategy in strategies
         ]
-        for config in configs:
-            config.validate()
+        # Validates every configuration before any trial runs.
+        trial_streams = [iter_trials(config) for config in configs]
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        summaries = [summarize(run_trials(config)) for config in configs]
+        summaries = [summarize(trials) for trials in trial_streams]
         if len(summaries) >= 2:
             comparison = compare_strategies(summaries)
         else:
             comparison = [strategy_row(summaries[0])]
-    except InvariantError as exc:
+    except (InvariantError, ProtocolError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,27 +18,34 @@ A ``sequential`` baseline (one machine searching the whole database) is
 included for cost comparisons. All randomness descends from the
 configuration seed through a fixed splitting scheme, so reports are
 reproducible and independent of sub-system scheduling.
+
+Every strategy runs as one pipeline. ``prepare`` runs the Grover search
+once per distinct (slice size, local marked set) and keeps only the
+cumulative outcome masses a measurement samples from; each trial then
+samples those with one seed-tree stream per draw, and a per-strategy merge
+turns the draws into a report. Only the draws differ between trials: the
+pre-measurement state is fixed by the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
 from .grover import is_power_of_two, run_grover
-from .ledger import CostLedger, ZERO_LEDGER, ledger_total
+from .ledger import CostLedger
 from .seeding import child_rng
 from .statevector import (
     MAX_QUBITS,
-    MeasurementRecord,
-    StateVector,
     apply_boolean_oracle,
+    born_cdf,
+    collapse_probe,
     compose_with_probe,
-    measure_probe,
-    measure_register,
+    probe_branch_masses,
+    sample_cdf,
 )
 
 PROBE = "probe"
@@ -47,9 +54,10 @@ SEMICLASSICAL_REPEAT = "semiclassical-repeat"
 SEQUENTIAL = "sequential"
 ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 
-# Seed-tree namespaces: (strategy slot, trial, sub-system, stage).
+# Seed-tree namespaces: (strategy slot, trial, sub-system, stage). Round r
+# of a slice draws at stage r, so a single-round strategy draws at stage 0;
+# the probe's recovery measurement draws at stage 1.
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
-_STAGE_OPERATE = 0
 _STAGE_RECOVER = 1
 
 
@@ -120,10 +128,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SubsystemOutcome:
-    """What one sub-system reported, and what its run cost.
+    """What one sub-system reported in one trial, and what its run cost.
 
-    The probe strategy fills ``probe_bit`` and keeps the post-measurement
-    register for later recovery; the semi-classical strategies fill
+    The probe strategy fills ``probe_bit``; the other strategies fill
     ``reported_local_index`` instead.
     """
 
@@ -131,7 +138,6 @@ class SubsystemOutcome:
     ledger: CostLedger
     probe_bit: int | None = None
     reported_local_index: int | None = None
-    post_state: StateVector | None = None
 
 
 @dataclass(frozen=True)
@@ -227,34 +233,76 @@ def localize_marked(
     )
 
 
-def _localized_subsystems(config: ExperimentConfig) -> list[SubsystemDescriptor]:
-    return [
-        replace(sub, local_marked=localize_marked(config.global_marked, sub))
-        for sub in partition(config.db_size, config.num_subsystems)
-    ]
+@dataclass(frozen=True, eq=False)
+class PreparedSlice:
+    """What one slice's trials draw from, built once per configuration.
 
-
-def run_subsystem_probe(
-    sub: SubsystemDescriptor, rng: np.random.Generator
-) -> SubsystemOutcome:
-    """Search one slice and answer through the probe qubit.
-
-    Runs the Grover loop, attaches a probe in |0>, lets the oracle write
-    its predicate into the probe, then measures the probe alone. The
-    conditional register state is kept so a later recovery step can read
-    the solution index out of a winning sub-system.
+    ``cdf`` holds the cumulative masses the operate stage samples: the
+    probe's two branches for the probe strategy, the register's Born
+    probabilities otherwise. ``fired_cdf`` is the register distribution
+    conditioned on the probe reading 1 (probe strategy only; None when the
+    probe cannot fire). ``ledger`` is what one trial costs the slice. The
+    masses are summed exactly as a per-trial measurement sums them, so
+    every draw lands on the same outcome.
     """
-    state, stats = run_grover(sub.num_qubits, sub.local_marked)
-    composed = apply_boolean_oracle(compose_with_probe(state), sub.local_marked)
-    outcome, register = measure_probe(composed, rng)
+
+    sub: SubsystemDescriptor
+    cdf: np.ndarray
+    fired_cdf: np.ndarray | None
+    ledger: CostLedger
+
+
+def _rounds(config: ExperimentConfig) -> int:
+    return config.repeat_rounds if config.strategy == SEMICLASSICAL_REPEAT else 1
+
+
+def _distributions(
+    strategy: str, num_qubits: int, marked: frozenset[int], rounds: int
+) -> tuple[np.ndarray, np.ndarray | None, CostLedger]:
+    state, stats = run_grover(num_qubits, marked)
+    iterations = stats.iterations
+    if strategy != PROBE:
+        ledger = CostLedger(
+            qubits_measured=rounds * num_qubits,
+            quantum_oracle_calls=rounds * iterations,
+            grover_iterations=rounds * iterations,
+        )
+        return born_cdf(state), None, ledger
+    composed = apply_boolean_oracle(compose_with_probe(state), marked)
+    masses = probe_branch_masses(composed)
+    fired_cdf = None
+    if masses[1] > 0.0:
+        fired_cdf = born_cdf(collapse_probe(composed, 1, float(masses[1])))
+    # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
-        qubits_measured=outcome.qubits_measured,
-        quantum_oracle_calls=stats.oracle_calls + 1,
-        grover_iterations=stats.iterations,
+        qubits_measured=1,
+        quantum_oracle_calls=iterations + 1,
+        grover_iterations=iterations,
     )
-    return SubsystemOutcome(
-        id=sub.id, ledger=ledger, probe_bit=outcome.bit, post_state=register
-    )
+    return np.cumsum(masses), fired_cdf, ledger
+
+
+def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:
+    """Search every slice once and keep only what its trials sample from.
+
+    A slice's pre-measurement state depends only on its size and local
+    marked set, so slices that agree on both (every slice without a
+    solution, for one) share one preparation. The sequential baseline is a
+    single slice holding the whole database. No complex state outlives
+    this call. The configuration must already be validated.
+    """
+    num_subsystems = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
+    shared: dict[tuple[int, frozenset[int]], tuple] = {}
+    slices = []
+    for sub in partition(config.db_size, num_subsystems):
+        sub = replace(sub, local_marked=localize_marked(config.global_marked, sub))
+        key = (sub.size, sub.local_marked)
+        if key not in shared:
+            shared[key] = _distributions(
+                config.strategy, sub.num_qubits, sub.local_marked, _rounds(config)
+            )
+        slices.append(PreparedSlice(sub, *shared[key]))
+    return tuple(slices)
 
 
 def find_winner(probe_bits: Sequence[int]) -> WinnerDecision:
@@ -291,34 +339,38 @@ def find_winner(probe_bits: Sequence[int]) -> WinnerDecision:
 
 
 def recover_global(
-    sub: SubsystemDescriptor,
-    outcome: SubsystemOutcome,
-    rng: np.random.Generator,
-) -> tuple[int, MeasurementRecord]:
-    """Read the solution index out of a winning sub-system.
+    prepared: PreparedSlice, probe_bit: int, rng: np.random.Generator
+) -> int:
+    """Read the solution index out of a winning slice.
 
-    Measures the retained probe-conditioned register (for a singleton
-    solution this state is exactly the solution basis state) and maps the
-    local index back to the global database through the slice offset.
+    Measures the register conditioned on the probe having read 1 (for a
+    singleton solution this is exactly the solution basis state) and maps
+    the local index back to the global database through the slice offset.
     """
-    if outcome.probe_bit != 1:
+    sub = prepared.sub
+    if probe_bit != 1:
         raise ProtocolError(
             f"recovery requires a probe that read 1; sub-system {sub.id} "
-            f"read {outcome.probe_bit!r}"
+            f"read {probe_bit!r}"
         )
-    if outcome.post_state is None:
-        raise ProtocolError(f"sub-system {sub.id} has no retained register state")
-    record = measure_register(outcome.post_state, rng)
-    return sub.offset + record.outcome, record
+    if prepared.fired_cdf is None:
+        raise ProtocolError(
+            f"sub-system {sub.id} has no retained probe-conditioned register"
+        )
+    return sub.offset + sample_cdf(prepared.fired_cdf, rng)
 
 
-def _make_report(
-    strategy: str,
+# What a merge decides in one trial: winning sub-systems, recovered global
+# indices, per-sub-system outcomes, and the merge stage's own cost.
+_Merged = tuple[Sequence[int], Sequence[int], list[SubsystemOutcome], CostLedger]
+
+
+def _report(
     config: ExperimentConfig,
     winners: Sequence[int],
     recovered: Sequence[int],
     outcomes: Sequence[SubsystemOutcome],
-    merge_ledger: CostLedger,
+    total: CostLedger,
 ) -> RunReport:
     recovered = tuple(recovered)
     marked = config.global_marked
@@ -326,9 +378,8 @@ def _make_report(
         correct = bool(recovered) and all(g in marked for g in recovered)
     else:
         correct = not recovered
-    total = ledger_total(o.ledger for o in outcomes) + merge_ledger
     return RunReport(
-        strategy=strategy,
+        strategy=config.strategy,
         config=config,
         winners=tuple(winners),
         recovered=recovered,
@@ -338,154 +389,121 @@ def _make_report(
     )
 
 
-def _require_strategy(config: ExperimentConfig, expected: str) -> None:
-    config.validate()
-    if config.strategy != expected:
-        raise ConfigurationError(
-            f"config selects strategy {config.strategy!r}, expected {expected!r}"
-        )
+def _merge_probe(
+    config: ExperimentConfig,
+    slices: Sequence[PreparedSlice],
+    draws: list[list[int]],
+    trial: int,
+) -> _Merged:
+    """Scan the probe bits, then measure the register of every winner only.
 
-
-def run_distributed_probe(config: ExperimentConfig, trial: int = 0) -> RunReport:
-    """One trial of the probe strategy.
-
-    Measures one qubit per sub-system plus, on success, the winning
-    register: M + log2(slice size) qubits in total. If every probe reads 0
+    Measures one qubit per sub-system plus each winning register:
+    M + log2(slice size) qubits on the success path. If every probe reads 0
     despite a marked item the trial reports nothing and counts as a miss;
     there is no automatic retry.
     """
-    _require_strategy(config, PROBE)
-    slot = _SEED_SLOT[PROBE]
-    subs = _localized_subsystems(config)
-    outcomes = [
-        run_subsystem_probe(
-            sub, child_rng(config.seed, slot, trial, sub.id, _STAGE_OPERATE)
+    bits = [rounds[0] for rounds in draws]
+    decision = find_winner(bits)
+    recovered = [
+        recover_global(
+            slices[w],
+            bits[w],
+            child_rng(config.seed, _SEED_SLOT[PROBE], trial, w, _STAGE_RECOVER),
         )
-        for sub in subs
+        for w in decision.winners
     ]
-    decision = find_winner([o.probe_bit for o in outcomes])
-    merge = CostLedger(decision_steps=decision.decision_steps)
-    recovered = []
-    for winner_id in decision.winners:
-        rng = child_rng(config.seed, slot, trial, winner_id, _STAGE_RECOVER)
-        global_index, record = recover_global(subs[winner_id], outcomes[winner_id], rng)
-        recovered.append(global_index)
-        merge = merge + CostLedger(qubits_measured=record.qubits_measured)
-    return _make_report(PROBE, config, decision.winners, recovered, outcomes, merge)
+    outcomes = [
+        SubsystemOutcome(id=s.sub.id, ledger=s.ledger, probe_bit=bit)
+        for s, bit in zip(slices, bits)
+    ]
+    merge = CostLedger(
+        qubits_measured=len(decision.winners) * slices[0].sub.num_qubits,
+        decision_steps=decision.decision_steps,
+    )
+    return decision.winners, recovered, outcomes, merge
 
 
-def run_semiclassical_verify(config: ExperimentConfig, trial: int = 0) -> RunReport:
-    """One trial of the verify strategy.
-
-    Every sub-system measures its full register after the search; the
-    merge stage spends one classical oracle evaluation per candidate and
-    keeps those that check out.
-    """
-    _require_strategy(config, SEMICLASSICAL_VERIFY)
-    slot = _SEED_SLOT[SEMICLASSICAL_VERIFY]
-    subs = _localized_subsystems(config)
-    outcomes = []
-    for sub in subs:
-        state, stats = run_grover(sub.num_qubits, sub.local_marked)
-        record = measure_register(
-            state, child_rng(config.seed, slot, trial, sub.id, _STAGE_OPERATE)
-        )
+def _merge_verify(
+    config: ExperimentConfig,
+    slices: Sequence[PreparedSlice],
+    draws: list[list[int]],
+    trial: int,
+) -> _Merged:
+    """Check every measured candidate with one classical oracle call and
+    keep those that are solutions."""
+    winners, recovered, outcomes = [], [], []
+    for s, (local,) in zip(slices, draws):
         outcomes.append(
-            SubsystemOutcome(
-                id=sub.id,
-                ledger=CostLedger(
-                    qubits_measured=record.qubits_measured,
-                    quantum_oracle_calls=stats.oracle_calls,
-                    grover_iterations=stats.iterations,
-                ),
-                reported_local_index=record.outcome,
-            )
+            SubsystemOutcome(id=s.sub.id, ledger=s.ledger, reported_local_index=local)
         )
-    merge = CostLedger(classical_oracle_calls=len(subs))
-    winners, recovered = [], []
-    for sub, outcome in zip(subs, outcomes):
-        candidate = sub.offset + outcome.reported_local_index
-        if candidate in config.global_marked:
-            winners.append(sub.id)
-            recovered.append(candidate)
-    return _make_report(
-        SEMICLASSICAL_VERIFY, config, winners, recovered, outcomes, merge
-    )
+        if s.sub.offset + local in config.global_marked:
+            winners.append(s.sub.id)
+            recovered.append(s.sub.offset + local)
+    return winners, recovered, outcomes, CostLedger(classical_oracle_calls=len(slices))
 
 
-def run_semiclassical_repeat(config: ExperimentConfig, trial: int = 0) -> RunReport:
-    """One trial of the repeat strategy.
+def _merge_agreed(
+    config: ExperimentConfig,
+    slices: Sequence[PreparedSlice],
+    draws: list[list[int]],
+    trial: int,
+) -> _Merged:
+    """Report every slice whose rounds all measured the same index.
 
-    Every sub-system reruns search-and-measure for the configured number
-    of rounds and reports a candidate only when all rounds agree; agreeing
-    candidates from several sub-systems are all reported (multiplicity).
+    With several rounds this is the repeat strategy; agreeing candidates
+    from several sub-systems are all reported (multiplicity). With one
+    round on one slice it is the sequential baseline, which reports its
+    single measurement unchecked.
     """
-    _require_strategy(config, SEMICLASSICAL_REPEAT)
-    slot = _SEED_SLOT[SEMICLASSICAL_REPEAT]
-    subs = _localized_subsystems(config)
-    outcomes = []
-    for sub in subs:
-        results = []
-        ledger = ZERO_LEDGER
-        for round_index in range(config.repeat_rounds):
-            state, stats = run_grover(sub.num_qubits, sub.local_marked)
-            record = measure_register(
-                state, child_rng(config.seed, slot, trial, sub.id, round_index)
-            )
-            results.append(record.outcome)
-            ledger = ledger + CostLedger(
-                qubits_measured=record.qubits_measured,
-                quantum_oracle_calls=stats.oracle_calls,
-                grover_iterations=stats.iterations,
-            )
-        agreed = results[0] if all(r == results[0] for r in results) else None
+    winners, recovered, outcomes = [], [], []
+    for s, rounds in zip(slices, draws):
+        agreed = rounds[0] if all(r == rounds[0] for r in rounds) else None
         outcomes.append(
-            SubsystemOutcome(id=sub.id, ledger=ledger, reported_local_index=agreed)
+            SubsystemOutcome(id=s.sub.id, ledger=s.ledger, reported_local_index=agreed)
         )
-    winners, recovered = [], []
-    for sub, outcome in zip(subs, outcomes):
-        if outcome.reported_local_index is not None:
-            winners.append(sub.id)
-            recovered.append(sub.offset + outcome.reported_local_index)
-    return _make_report(
-        SEMICLASSICAL_REPEAT, config, winners, recovered, outcomes, ZERO_LEDGER
-    )
+        if agreed is not None:
+            winners.append(s.sub.id)
+            recovered.append(s.sub.offset + agreed)
+    return winners, recovered, outcomes, CostLedger()
 
 
-def run_sequential(config: ExperimentConfig, trial: int = 0) -> RunReport:
-    """One trial of the non-distributed baseline: a single machine searches
-    the whole database and measures every register qubit."""
-    _require_strategy(config, SEQUENTIAL)
-    slot = _SEED_SLOT[SEQUENTIAL]
-    num_qubits = config.db_size.bit_length() - 1
-    state, stats = run_grover(num_qubits, config.global_marked)
-    record = measure_register(
-        state, child_rng(config.seed, slot, trial, 0, _STAGE_OPERATE)
-    )
-    outcome = SubsystemOutcome(
-        id=0,
-        ledger=CostLedger(
-            qubits_measured=record.qubits_measured,
-            quantum_oracle_calls=stats.oracle_calls,
-            grover_iterations=stats.iterations,
-        ),
-        reported_local_index=record.outcome,
-    )
-    return _make_report(
-        SEQUENTIAL, config, (0,), (record.outcome,), (outcome,), ZERO_LEDGER
-    )
-
-
-_RUNNERS = {
-    PROBE: run_distributed_probe,
-    SEMICLASSICAL_VERIFY: run_semiclassical_verify,
-    SEMICLASSICAL_REPEAT: run_semiclassical_repeat,
-    SEQUENTIAL: run_sequential,
+_MERGES = {
+    PROBE: _merge_probe,
+    SEMICLASSICAL_VERIFY: _merge_verify,
+    SEMICLASSICAL_REPEAT: _merge_agreed,
+    SEQUENTIAL: _merge_agreed,
 }
+
+
+def _sample_and_merge(config: ExperimentConfig) -> Iterator[RunReport]:
+    slices = prepare(config)
+    base = sum((s.ledger for s in slices), CostLedger())
+    merge = _MERGES[config.strategy]
+    slot = _SEED_SLOT[config.strategy]
+    stages = range(_rounds(config))
+    for trial in range(config.trials):
+        draws = [
+            [
+                sample_cdf(s.cdf, child_rng(config.seed, slot, trial, s.sub.id, stage))
+                for stage in stages
+            ]
+            for s in slices
+        ]
+        winners, recovered, outcomes, cost = merge(config, slices, draws, trial)
+        yield _report(config, winners, recovered, outcomes, base + cost)
+
+
+def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
+    """Stream the configured trials of the configured strategy.
+
+    The configuration is validated at once. The slices are prepared when
+    the first trial is drawn and released with the iterator, so memory does
+    not grow with the number of trials.
+    """
+    config.validate()
+    return _sample_and_merge(config)
 
 
 def run_trials(config: ExperimentConfig) -> list[RunReport]:
     """Run the configured number of trials of the configured strategy."""
-    config.validate()
-    runner = _RUNNERS[config.strategy]
-    return [runner(config, trial=t) for t in range(config.trials)]
+    return list(iter_trials(config))

@@ -18,10 +18,9 @@ from .statevector import StateVector, apply_diffusion, apply_phase_oracle, new_u
 
 @dataclass
 class GroverRunStats:
-    """Per-run cost and quality: iteration count equals phase-oracle calls."""
+    """Per-run cost and quality; each iteration makes one phase-oracle call."""
 
     iterations: int = 0
-    oracle_calls: int = 0
     final_success_probability: float = 0.0
 
 
@@ -78,7 +77,4 @@ def run_grover(
     for _ in range(rounds):
         state = apply_diffusion(apply_phase_oracle(state, marked))
     mass = float(np.sum(np.abs(state.amplitudes[sorted(marked)]) ** 2)) if marked else 0.0
-    stats = GroverRunStats(
-        iterations=rounds, oracle_calls=rounds, final_success_probability=mass
-    )
-    return state, stats
+    return state, GroverRunStats(iterations=rounds, final_success_probability=mass)

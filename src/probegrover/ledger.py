@@ -21,7 +21,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class CostLedger:
-    """Non-negative resource counts; addition is fieldwise."""
+    """Non-negative resource counts; addition is fieldwise, and
+    ``sum(ledgers, CostLedger())`` totals a collection."""
 
     qubits_measured: int = 0
     quantum_oracle_calls: int = 0
@@ -30,29 +31,17 @@ class CostLedger:
     decision_steps: int = 0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            if getattr(self, field.name) < 0:
-                raise ValueError(f"{field.name} must be non-negative")
+        for name in _LEDGER_FIELDS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def __add__(self, other: "CostLedger") -> "CostLedger":
-        return ledger_add(self, other)
+        return CostLedger(
+            *(getattr(self, name) + getattr(other, name) for name in _LEDGER_FIELDS)
+        )
 
 
-ZERO_LEDGER = CostLedger()
-
-
-def ledger_add(a: CostLedger, b: CostLedger) -> CostLedger:
-    """Fieldwise sum of two ledgers."""
-    return CostLedger(
-        **{f.name: getattr(a, f.name) + getattr(b, f.name) for f in fields(CostLedger)}
-    )
-
-
-def ledger_total(ledgers: Iterable[CostLedger]) -> CostLedger:
-    total = ZERO_LEDGER
-    for ledger in ledgers:
-        total = total + ledger
-    return total
+_LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 
 
 @dataclass(frozen=True)
@@ -89,26 +78,32 @@ class StrategyRow:
     mean_decision_steps: float
 
 
-def summarize(reports: Sequence["RunReport"]) -> TrialSummary:
-    """Aggregate trial reports that share one strategy and configuration."""
-    if not reports:
-        raise UsageError("cannot summarize an empty report list")
-    first = reports[0]
+def summarize(reports: Iterable["RunReport"]) -> TrialSummary:
+    """Aggregate trial reports that share one strategy and configuration.
+
+    Folds the reports in a single pass with integer totals, so a stream of
+    reports gives the same summary as a list of them.
+    """
+    first = None
+    n = successes = misses = depth = 0
+    totals = dict.fromkeys(_LEDGER_FIELDS, 0)
     for report in reports:
+        if first is None:
+            first = report
         if report.strategy != first.strategy:
             raise UsageError(
                 f"mixed strategies in summary: {first.strategy!r} vs {report.strategy!r}"
             )
         if report.config != first.config:
             raise UsageError("mixed configurations in summary")
-    n = len(reports)
-    successes = sum(1 for r in reports if r.correct)
-    misses = sum(1 for r in reports if r.missed)
-    mean_ledger = {
-        f.name: sum(getattr(r.total_ledger, f.name) for r in reports) / n
-        for f in fields(CostLedger)
-    }
-    depth = sum(r.iteration_depth for r in reports) / n
+        n += 1
+        successes += report.correct
+        misses += report.missed
+        depth += report.iteration_depth
+        for name in _LEDGER_FIELDS:
+            totals[name] += getattr(report.total_ledger, name)
+    if first is None:
+        raise UsageError("cannot summarize an empty report list")
     return TrialSummary(
         strategy=first.strategy,
         db_size=first.config.db_size,
@@ -118,8 +113,8 @@ def summarize(reports: Sequence["RunReport"]) -> TrialSummary:
         successes=successes,
         misses=misses,
         empirical_success_rate=successes / n,
-        mean_ledger=mean_ledger,
-        mean_iteration_depth=depth,
+        mean_ledger={name: total / n for name, total in totals.items()},
+        mean_iteration_depth=depth / n,
     )
 
 

@@ -8,8 +8,8 @@ odd stride-2 slices of one array.
 
 All operations are pure: they return new values and never mutate their
 inputs. The two measurement operations draw from a caller-supplied numpy
-``Generator`` via inverse-CDF sampling over the outcome distribution, so a
-fixed seed fully determines every outcome.
+``Generator`` via inverse-CDF sampling over the outcome distribution
+(``sample_cdf``), so a fixed seed fully determines every outcome.
 """
 
 from __future__ import annotations
@@ -197,15 +197,47 @@ def apply_boolean_oracle(
     return ComposedState(composed.num_register_qubits, joint)
 
 
-def _sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; zero-probability outcomes are never selected."""
-    cdf = np.cumsum(probabilities)
+def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from cumulative outcome masses (not necessarily
+    normalized); zero-probability outcomes are never selected.
+
+    Every measurement in the package draws through this routine: one
+    uniform variate from ``rng`` scaled by the total mass, located with a
+    right-sided binary search.
+    """
     total = cdf[-1]
     if total <= 0.0:
         raise InvariantError("outcome distribution has zero total mass")
     draw = rng.random() * total
     index = int(np.searchsorted(cdf, draw, side="right"))
-    return min(index, len(probabilities) - 1)
+    return min(index, len(cdf) - 1)
+
+
+def born_cdf(state: StateVector) -> np.ndarray:
+    """Cumulative Born probabilities of a full register measurement, in
+    basis order, summed exactly as ``measure_register`` sums them so that
+    a draw lands on the same outcome."""
+    return np.cumsum(np.abs(state.amplitudes) ** 2)
+
+
+def probe_branch_masses(composed: ComposedState) -> np.ndarray:
+    """Born masses of the probe reading 0 and reading 1."""
+    joint = composed.amplitudes
+    return np.array(
+        [
+            float(np.sum(np.abs(joint[0::2]) ** 2)),
+            float(np.sum(np.abs(joint[1::2]) ** 2)),
+        ]
+    )
+
+
+def collapse_probe(
+    composed: ComposedState, bit: int, probability: float
+) -> StateVector:
+    """Register state conditioned on the probe reading ``bit``, whose branch
+    mass is ``probability``."""
+    register = composed.amplitudes[bit::2] / math.sqrt(probability)
+    return StateVector(composed.num_register_qubits, register)
 
 
 def measure_probe(
@@ -217,20 +249,13 @@ def measure_probe(
     state renormalized onto the branch consistent with that bit. Exactly
     one qubit is measured regardless of the register size.
     """
-    joint = composed.amplitudes
-    branch_mass = np.array(
-        [
-            float(np.sum(np.abs(joint[0::2]) ** 2)),
-            float(np.sum(np.abs(joint[1::2]) ** 2)),
-        ]
-    )
+    branch_mass = probe_branch_masses(composed)
     if branch_mass.sum() <= 0.0:
         raise InvariantError("both probe branches have zero norm")
-    bit = _sample_index(branch_mass, rng)
+    bit = sample_cdf(np.cumsum(branch_mass), rng)
     probability = float(branch_mass[bit])
-    register = joint[bit::2] / math.sqrt(probability)
     outcome = ProbeOutcome(bit=bit, probability=probability)
-    return outcome, StateVector(composed.num_register_qubits, register)
+    return outcome, collapse_probe(composed, bit, probability)
 
 
 def measure_register(
@@ -238,7 +263,7 @@ def measure_register(
 ) -> MeasurementRecord:
     """Measure the full register in the computational basis (Born rule)."""
     probabilities = np.abs(state.amplitudes) ** 2
-    index = _sample_index(probabilities, rng)
+    index = sample_cdf(np.cumsum(probabilities), rng)
     return MeasurementRecord(
         outcome=index,
         probability=float(probabilities[index]),

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from probegrover import InvariantError, ProtocolError, UsageError, cli
 from probegrover.cli import run_command
 
 BASE = ["--db-size", "16", "--subsystems", "4", "--marked", "10", "--seed", "7"]
@@ -154,6 +156,46 @@ class TestIoErrors:
         )
         assert code == 4
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing_step", ["write", "rename"])
+    def test_failed_write_leaves_no_partial_file(
+        self, tmp_path, monkeypatch, capsys, failing_step
+    ):
+        out = tmp_path / "report.json"
+        out.write_text("previous report\n")
+        write_text = pathlib.Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        def fail_rename(src, dst):
+            raise OSError("rename refused")
+
+        if failing_step == "write":
+            monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+        else:
+            monkeypatch.setattr(cli.os, "replace", fail_rename)
+        code = run_command([*BASE, "--strategy", "probe", "--trials", "2", "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_text() == "previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [InvariantError, ProtocolError, UsageError])
+    def test_run_stage_error_exits_3(self, monkeypatch, capsys, error):
+        def fail(reports):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "summarize", fail)
+        code = run_command([*BASE, "--strategy", "probe", "--trials", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: boom\n"
+        assert captured.out == ""
 
 
 class TestEmitReport:

@@ -1,5 +1,6 @@
-"""Distributed protocol: partitioning, offsets, the probe strategy, both
-semi-classical strategies, the sequential baseline, and determinism."""
+"""Distributed protocol: partitioning, offsets, slice preparation and
+recovery, the probe strategy, both semi-classical strategies, the
+sequential baseline, and determinism."""
 
 from __future__ import annotations
 
@@ -16,22 +17,17 @@ from probegrover import (
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
     SubsystemDescriptor,
-    SubsystemOutcome,
     child_rng,
     find_winner,
+    iter_trials,
     iteration_count,
     localize_marked,
     partition,
-    recover_global,
-    run_distributed_probe,
-    run_semiclassical_repeat,
-    run_semiclassical_verify,
-    run_sequential,
-    run_subsystem_probe,
     run_trials,
-    state_from_amplitudes,
     success_probability,
 )
+from probegrover.distributed import prepare, recover_global
+from probegrover.statevector import sample_cdf
 
 
 def config(
@@ -47,10 +43,8 @@ def config(
     )
 
 
-def basis_state(num_qubits: int, index: int):
-    amps = [0.0] * (1 << num_qubits)
-    amps[index] = 1.0
-    return state_from_amplitudes(amps)
+def first_trial(cfg: ExperimentConfig):
+    return next(iter_trials(cfg))
 
 
 class TestPartition:
@@ -100,35 +94,36 @@ class TestLocalizeMarked:
 
 
 class TestRunSubsystemProbe:
+    """One slice's probe readout: prepared once, then sampled per trial."""
+
     def test_no_solution_reads_zero_with_certainty(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=4)
-        outcome = run_subsystem_probe(sub, np.random.default_rng(0))
-        assert outcome.probe_bit == 0
-        assert outcome.ledger == CostLedger(
+        prepared = prepare(config())[0]
+        assert prepared.fired_cdf is None
+        assert prepared.cdf[1] == prepared.cdf[0]  # no mass on the probe reading 1
+        assert prepared.ledger == CostLedger(
             qubits_measured=1, quantum_oracle_calls=1, grover_iterations=0
         )
+        (report,) = run_trials(config())
+        assert [o.probe_bit for o in report.per_subsystem if o.id != 2] == [0, 0, 0]
 
     def test_certain_detection_at_four_items(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=4, local_marked=frozenset({3}))
-        outcome = run_subsystem_probe(sub, np.random.default_rng(0))
-        assert outcome.probe_bit == 1
-        np.testing.assert_allclose(outcome.post_state.amplitudes, [0, 0, 0, 1], atol=1e-12)
-        assert outcome.ledger.quantum_oracle_calls == 2
+        prepared = prepare(config(marked=(11,)))[2]
+        assert sample_cdf(prepared.cdf, np.random.default_rng(0)) == 1
+        register = np.diff(prepared.fired_cdf, prepend=0.0)
+        np.testing.assert_allclose(register, [0, 0, 0, 1], atol=1e-12)
+        assert prepared.ledger.quantum_oracle_calls == 2
 
     def test_detection_rate_matches_closed_form(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=256, local_marked=frozenset({17}))
+        (prepared,) = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
         trials = 10_000
-        hits = sum(
-            run_subsystem_probe(sub, child_rng(99, t)).probe_bit for t in range(trials)
-        )
+        hits = sum(sample_cdf(prepared.cdf, child_rng(99, t)) for t in range(trials))
         expected = success_probability(256, 1, 12)
         assert abs(hits / trials - expected) < 0.01
 
     def test_ledger_counts_one_boolean_oracle_on_top_of_iterations(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=256, local_marked=frozenset({17}))
-        outcome = run_subsystem_probe(sub, np.random.default_rng(1))
-        assert outcome.ledger.quantum_oracle_calls == iteration_count(256, 1) + 1
-        assert outcome.ledger.qubits_measured == 1
+        (prepared,) = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
+        assert prepared.ledger.quantum_oracle_calls == iteration_count(256, 1) + 1
+        assert prepared.ledger.qubits_measured == 1
 
 
 class TestFindWinner:
@@ -167,44 +162,33 @@ class TestFindWinner:
 
 class TestRecoverGlobal:
     def test_offset_arithmetic(self):
-        sub = SubsystemDescriptor(id=2, offset=8, size=4)
-        outcome = SubsystemOutcome(
-            id=2, ledger=CostLedger(), probe_bit=1, post_state=basis_state(2, 2)
-        )
-        global_index, record = recover_global(sub, outcome, np.random.default_rng(0))
-        assert global_index == 10
-        assert record.qubits_measured == 2
+        prepared = prepare(config())[2]
+        assert prepared.sub.offset == 8
+        assert recover_global(prepared, 1, np.random.default_rng(0)) == 10
 
     def test_round_trip_over_all_slices_and_indices(self):
-        for sub in partition(16, 4):
-            for local in range(sub.size):
-                outcome = SubsystemOutcome(
-                    id=sub.id,
-                    ledger=CostLedger(),
-                    probe_bit=1,
-                    post_state=basis_state(2, local),
-                )
-                recovered, _ = recover_global(sub, outcome, np.random.default_rng(0))
-                assert recovered - sub.offset == local
+        # Four-item slices amplify exactly, so recovery is certain.
+        for marked in range(16):
+            winner = prepare(config(marked=(marked,)))[marked // 4]
+            assert recover_global(winner, 1, np.random.default_rng(0)) == marked
 
     def test_requires_probe_one(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=4)
-        outcome = SubsystemOutcome(
-            id=0, ledger=CostLedger(), probe_bit=0, post_state=basis_state(2, 0)
-        )
+        prepared = prepare(config())[2]
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(sub, outcome, np.random.default_rng(0))
+            recover_global(prepared, 0, np.random.default_rng(0))
 
     def test_requires_retained_state(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=4)
-        outcome = SubsystemOutcome(id=0, ledger=CostLedger(), probe_bit=1)
-        with pytest.raises(ProtocolError, match="retained"):
-            recover_global(sub, outcome, np.random.default_rng(0))
+        for prepared in (
+            prepare(config())[0],  # no solution: the probe cannot fire
+            prepare(config(strategy=SEMICLASSICAL_VERIFY))[2],  # no probe at all
+        ):
+            with pytest.raises(ProtocolError, match="retained"):
+                recover_global(prepared, 1, np.random.default_rng(0))
 
 
 class TestProbeStrategy:
     def test_certain_recovery_at_four_item_slices(self):
-        report = run_distributed_probe(config())
+        report = first_trial(config())
         assert report.winner_subsystem == 2
         assert report.recovered_global_index == 10
         assert report.correct and not report.missed
@@ -213,7 +197,7 @@ class TestProbeStrategy:
         assert [o.probe_bit for o in report.per_subsystem] == [0, 0, 1, 0]
 
     def test_no_solution_reports_nothing(self):
-        report = run_distributed_probe(config(marked=()))
+        report = first_trial(config(marked=()))
         assert report.winners == ()
         assert report.recovered == ()
         assert report.correct
@@ -248,28 +232,24 @@ class TestProbeStrategy:
                 assert outcome.probe_bit == 0
 
     def test_multiplicity_recovers_every_solution(self):
-        report = run_distributed_probe(config(marked=(1, 10)))
+        report = first_trial(config(marked=(1, 10)))
         assert report.winners == (0, 2)
         assert report.recovered == (1, 10)
         assert report.correct
         assert report.winner_subsystem is None  # not a unique winner
         assert report.total_ledger.qubits_measured == 4 + 2 * 2
 
-    def test_strategy_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError, match="expected 'probe'"):
-            run_distributed_probe(config(strategy=SEMICLASSICAL_VERIFY))
-
 
 class TestVerifyStrategy:
     def test_certain_verification_at_four_item_slices(self):
-        report = run_semiclassical_verify(config(strategy=SEMICLASSICAL_VERIFY))
+        report = first_trial(config(strategy=SEMICLASSICAL_VERIFY))
         assert report.correct
         assert report.recovered == (10,)
         assert report.total_ledger.qubits_measured == 8
         assert report.total_ledger.classical_oracle_calls == 4
 
     def test_no_solution_fails_every_candidate(self):
-        report = run_semiclassical_verify(
+        report = first_trial(
             config(marked=(), strategy=SEMICLASSICAL_VERIFY)
         )
         assert report.recovered == ()
@@ -328,7 +308,7 @@ class TestRepeatStrategy:
 class TestSequentialBaseline:
     def test_single_machine_costs(self):
         cfg = config(db_size=1024, num_subsystems=4, marked=(777,), strategy=SEQUENTIAL)
-        report = run_sequential(cfg)
+        report = first_trial(cfg)
         assert report.total_ledger.qubits_measured == 10
         assert report.total_ledger.grover_iterations == 25
         assert report.iteration_depth == 25

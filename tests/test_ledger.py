@@ -11,12 +11,11 @@ from probegrover import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
+    ALL_STRATEGIES,
     UsageError,
-    ZERO_LEDGER,
     compare_strategies,
+    iter_trials,
     iteration_count,
-    ledger_add,
-    ledger_total,
     run_trials,
     strategy_row,
     success_probability,
@@ -39,18 +38,16 @@ def make_summary(strategy, db_size=1024, num_subsystems=4, marked=(777,), trials
 class TestCostLedger:
     def test_zero_is_identity(self):
         ledger = CostLedger(qubits_measured=4, grover_iterations=2)
-        assert ledger_add(ledger, ZERO_LEDGER) == ledger
+        assert ledger + CostLedger() == ledger
 
     def test_fieldwise_sum(self):
-        total = ledger_add(
-            CostLedger(qubits_measured=4), CostLedger(qubits_measured=2)
-        )
+        total = CostLedger(qubits_measured=4) + CostLedger(qubits_measured=2)
         assert total.qubits_measured == 6
 
     def test_commutative(self):
         a = CostLedger(qubits_measured=1, quantum_oracle_calls=3, decision_steps=2)
         b = CostLedger(classical_oracle_calls=5, grover_iterations=7)
-        assert ledger_add(a, b) == ledger_add(b, a)
+        assert a + b == b + a
 
     def test_associative(self):
         a, b, c = CostLedger(qubits_measured=1), CostLedger(qubits_measured=2), CostLedger(qubits_measured=4)
@@ -62,7 +59,7 @@ class TestCostLedger:
 
     def test_ledger_total(self):
         parts = [CostLedger(qubits_measured=i) for i in range(5)]
-        assert ledger_total(parts).qubits_measured == 10
+        assert sum(parts, CostLedger()).qubits_measured == 10
 
 
 class TestLedgerConservation:
@@ -76,7 +73,7 @@ class TestLedgerConservation:
             trials=20,
         )
         for report in run_trials(cfg):
-            sub_total = ledger_total(o.ledger for o in report.per_subsystem)
+            sub_total = sum((o.ledger for o in report.per_subsystem), CostLedger())
             merge = CostLedger(
                 qubits_measured=8 * len(report.winners),
                 decision_steps=report.total_ledger.decision_steps,
@@ -93,7 +90,7 @@ class TestLedgerConservation:
             trials=20,
         )
         for report in run_trials(cfg):
-            sub_total = ledger_total(o.ledger for o in report.per_subsystem)
+            sub_total = sum((o.ledger for o in report.per_subsystem), CostLedger())
             assert report.total_ledger == sub_total + CostLedger(classical_oracle_calls=4)
             assert all(o.ledger.classical_oracle_calls == 0 for o in report.per_subsystem)
 
@@ -131,8 +128,18 @@ class TestSummarize:
         assert summary.mean_ledger["qubits_measured"] == 6.0
 
     def test_empty_input_rejected(self):
-        with pytest.raises(UsageError, match="empty"):
-            summarize([])
+        for empty in ([], iter(())):
+            with pytest.raises(UsageError, match="empty"):
+                summarize(empty)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_stream_and_list_give_identical_summaries(self, strategy):
+        cfg = ExperimentConfig(
+            64, 4, frozenset({37, 5}), strategy, seed=3, trials=60, repeat_rounds=3
+        )
+        reports = run_trials(cfg)
+        assert summarize(iter(reports)) == summarize(reports)
+        assert summarize(iter_trials(cfg)) == summarize(reports)
 
     def test_mixed_strategies_rejected(self):
         probe = run_trials(
