@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +36,7 @@ from .distributed import (
     iter_trials,
 )
 from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
-from .ledger import StrategyRow, TrialSummary, compare_strategies, strategy_row, summarize
+from .ledger import StrategyRow, TrialSummary, compare_strategies, summarize
 
 _CLI_STRATEGIES = {
     "probe": (PROBE,),
@@ -46,20 +45,6 @@ _CLI_STRATEGIES = {
     "sequential": (SEQUENTIAL,),
     "all": ALL_STRATEGIES,
 }
-
-_CSV_COLUMNS = [f.name for f in dataclasses.fields(StrategyRow)]
-
-
-@dataclass
-class OutputEnvelope:
-    """Everything one invocation emits; (config, seed) determines it fully."""
-
-    config: dict
-    summaries: list[TrialSummary]
-    comparison: list[StrategyRow]
-    seed: int
-    version: str
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -123,54 +108,36 @@ def _parse_marked(text: str) -> frozenset[int]:
     return indices
 
 
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, frozenset | set):
-        return sorted(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, list | tuple):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def _render_json(envelope: OutputEnvelope) -> str:
-    payload = {
-        "config": _jsonable(envelope.config),
-        "summaries": [_jsonable(s) for s in envelope.summaries],
-        "comparison": [_jsonable(row) for row in envelope.comparison],
-        "seed": envelope.seed,
-        "version": envelope.version,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _render_csv(envelope: OutputEnvelope) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in envelope.comparison:
-        writer.writerow([getattr(row, column) for column in _CSV_COLUMNS])
-    return buffer.getvalue()
-
-
 def emit_report(
-    envelope: OutputEnvelope, output_format: str, destination: Path | None
+    output_format: str,
+    config: dict,
+    summaries: list[TrialSummary],
+    rows: list[StrategyRow],
+    destination: Path | None,
 ) -> None:
-    """Render the envelope and write it to a file or stdout.
+    """Render the report and write it to a file or stdout.
 
-    A file is written under a temporary name in the same directory and
-    renamed into place, so the destination never holds a partial report.
+    JSON is the envelope of config echo, summaries, comparison rows, seed
+    and version; CSV is one comparison row per strategy. A file is written
+    under a temporary name in the same directory and renamed into place,
+    so the destination never holds a partial report.
     """
-    if not envelope.summaries:
-        raise UsageError("envelope has no summaries to emit")
     if output_format == "json":
-        rendered = _render_json(envelope)
-    elif output_format == "csv":
-        rendered = _render_csv(envelope)
+        payload = {
+            "config": config,
+            "summaries": [dataclasses.asdict(s) for s in summaries],
+            "comparison": [dataclasses.asdict(row) for row in rows],
+            "seed": config["seed"],
+            "version": __version__,
+        }
+        # ``default=sorted`` renders the frozenset ``TrialSummary.marked``.
+        rendered = json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n"
     else:
-        raise UsageError(f"unknown output format {output_format!r}")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(f.name for f in dataclasses.fields(StrategyRow))
+        writer.writerows(dataclasses.astuple(row) for row in rows)
+        rendered = buffer.getvalue()
     if destination is None:
         sys.stdout.write(rendered)
         return
@@ -210,32 +177,23 @@ def run_command(argv: list[str] | None = None) -> int:
 
     try:
         summaries = [summarize(trials) for trials in trial_streams]
-        if len(summaries) >= 2:
-            comparison = compare_strategies(summaries)
-        else:
-            comparison = [strategy_row(summaries[0])]
+        rows = compare_strategies(summaries)
     except (InvariantError, ProtocolError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
-    envelope = OutputEnvelope(
-        config={
-            "db_size": args.db_size,
-            "subsystems": args.subsystems,
-            "marked": sorted(marked),
-            "strategy": args.strategy,
-            "strategies_run": list(strategies),
-            "repeat_rounds": args.repeat_rounds,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        summaries=summaries,
-        comparison=comparison,
-        seed=args.seed,
-        version=__version__,
-    )
+    config = {
+        "db_size": args.db_size,
+        "subsystems": args.subsystems,
+        "marked": sorted(marked),
+        "strategy": args.strategy,
+        "strategies_run": list(strategies),
+        "repeat_rounds": args.repeat_rounds,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
     try:
-        emit_report(envelope, args.format, args.out)
+        emit_report(args.format, config, summaries, rows, args.out)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4

@@ -60,6 +60,10 @@ ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
 _STAGE_RECOVER = 1
 
+# Each slice costs about 760 B of peak memory on top of the interpreter
+# (one probe trial at N=2M); 2**16 slices stay below about 85 MiB.
+MAX_SUBSYSTEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SubsystemDescriptor:
@@ -120,10 +124,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be non-negative (got {self.seed})")
         if self.strategy == SEMICLASSICAL_REPEAT:
             _check_repeat_rounds(self.repeat_rounds, self.db_size)
-
-    @property
-    def subsystem_size(self) -> int:
-        return self.db_size // self.num_subsystems
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,10 @@ def _check_partition_args(db_size: int, num_subsystems: int) -> None:
     if num_subsystems < 1 or not is_power_of_two(num_subsystems):
         raise ConfigurationError(
             f"subsystems must be a power of two (got {num_subsystems})"
+        )
+    if num_subsystems > MAX_SUBSYSTEMS:
+        raise ConfigurationError(
+            f"subsystems must be at most {MAX_SUBSYSTEMS} (got {num_subsystems})"
         )
     if num_subsystems * 2 > db_size:
         raise ConfigurationError(

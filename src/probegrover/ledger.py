@@ -118,29 +118,17 @@ def summarize(reports: Iterable["RunReport"]) -> TrialSummary:
     )
 
 
-def strategy_row(summary: TrialSummary) -> StrategyRow:
-    """Comparison row for one summary."""
-    return StrategyRow(
-        strategy=summary.strategy,
-        success_rate=summary.empirical_success_rate,
-        mean_qubits_measured=summary.mean_ledger["qubits_measured"],
-        mean_quantum_oracle_calls=summary.mean_ledger["quantum_oracle_calls"],
-        mean_classical_oracle_calls=summary.mean_ledger["classical_oracle_calls"],
-        mean_grover_iterations=summary.mean_iteration_depth,
-        mean_decision_steps=summary.mean_ledger["decision_steps"],
-    )
-
-
 def compare_strategies(summaries: Sequence[TrialSummary]) -> list[StrategyRow]:
-    """Side-by-side comparison of strategies on the same search problem.
+    """Side-by-side comparison of strategies on the same search problem,
+    one row per summary.
 
     All summaries must share the database size and marked set; distributed
     strategies must also share the sub-system count. A sequential baseline
     (single machine over the whole database) is exempt from the sub-system
     check.
     """
-    if len(summaries) < 2:
-        raise UsageError("comparison requires at least two summaries")
+    if not summaries:
+        raise UsageError("comparison requires at least one summary")
     first = summaries[0]
     distributed = [s for s in summaries if s.strategy != "sequential"]
     for summary in summaries:
@@ -152,4 +140,15 @@ def compare_strategies(summaries: Sequence[TrialSummary]) -> list[StrategyRow]:
     for summary in distributed:
         if summary.num_subsystems != distributed[0].num_subsystems:
             raise UsageError("distributed summaries use different sub-system counts")
-    return [strategy_row(s) for s in summaries]
+    return [
+        StrategyRow(
+            strategy=s.strategy,
+            success_rate=s.empirical_success_rate,
+            mean_qubits_measured=s.mean_ledger["qubits_measured"],
+            mean_quantum_oracle_calls=s.mean_ledger["quantum_oracle_calls"],
+            mean_classical_oracle_calls=s.mean_ledger["classical_oracle_calls"],
+            mean_grover_iterations=s.mean_iteration_depth,
+            mean_decision_steps=s.mean_ledger["decision_steps"],
+        )
+        for s in summaries
+    ]

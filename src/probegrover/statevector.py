@@ -25,9 +25,6 @@ from .errors import InvariantError
 MAX_QUBITS = 24
 DENSE_REFERENCE_MAX_QUBITS = 6
 
-# Basis indices that an oracle should recognize as solutions.
-MarkedSet = frozenset[int]
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

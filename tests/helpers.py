@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import probegrover
 from probegrover import StateVector
+
+# The directory this package was imported from, so a child interpreter runs
+# the same code whether or not PYTHONPATH names it.
+_PACKAGE_ROOT = str(Path(probegrover.__file__).resolve().parents[1])
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m probegrover.cli`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "probegrover.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:

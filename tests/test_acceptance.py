@@ -6,12 +6,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 
-from helpers import FixedDraw, norm_sq, random_marked, random_state
+from helpers import FixedDraw, norm_sq, random_marked, random_state, run_cli
 from probegrover import (
     ExperimentConfig,
     PROBE,
@@ -228,12 +226,11 @@ def test_algebraic_and_determinism_suite():
     )
 
     argv = [
-        sys.executable, "-m", "probegrover.cli",
         "--db-size", "64", "--subsystems", "4", "--marked", "37",
         "--strategy", "all", "--trials", "20", "--seed", "99",
     ]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    first = run_cli(*argv)
+    second = run_cli(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     json.loads(first.stdout)

@@ -6,23 +6,14 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
+from helpers import run_cli
 from probegrover import InvariantError, ProtocolError, UsageError, cli
-from probegrover.cli import run_command
+from probegrover.cli import emit_report, run_command
 
 BASE = ["--db-size", "16", "--subsystems", "4", "--marked", "10", "--seed", "7"]
-
-
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "probegrover.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
 
 
 class TestValidation:
@@ -69,6 +60,14 @@ class TestValidation:
              "--strategy", "probe", "--seed", "-3"]
         )
         assert code == 2
+
+    def test_too_many_subsystems(self, capsys):
+        code = run_command(
+            ["--db-size", "262144", "--subsystems", "131072", "--marked", "0",
+             "--strategy", "probe", "--seed", "7"]
+        )
+        assert code == 2
+        assert "subsystems must be at most 65536" in capsys.readouterr().err
 
     def test_unknown_strategy_is_a_flag_error(self):
         result = run_cli(*BASE, "--strategy", "psychic")
@@ -199,39 +198,26 @@ class TestInternalErrors:
 
 
 class TestEmitReport:
-    def envelope(self):
-        from probegrover import ExperimentConfig, PROBE, run_trials, strategy_row, summarize
-        from probegrover.cli import OutputEnvelope
+    def report(self):
+        from probegrover import ExperimentConfig, PROBE, compare_strategies, run_trials, summarize
 
         cfg = ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=7, trials=3)
-        summary = summarize(run_trials(cfg))
-        return OutputEnvelope(
-            config={"db_size": 16},
-            summaries=[summary],
-            comparison=[strategy_row(summary)],
-            seed=7,
-            version="0.1.0",
-        )
+        summaries = [summarize(run_trials(cfg))]
+        return {"db_size": 16, "seed": 7}, summaries, compare_strategies(summaries)
 
-    def test_rejects_empty_summaries(self):
-        from probegrover import UsageError
-        from probegrover.cli import OutputEnvelope, emit_report
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_same_report_renders_identical_bytes(self, capsys, fmt):
+        report = self.report()
+        emit_report(fmt, *report, None)
+        first = capsys.readouterr().out
+        emit_report(fmt, *report, None)
+        assert capsys.readouterr().out == first
 
-        empty = OutputEnvelope(config={}, summaries=[], comparison=[], seed=0, version="0")
-        with pytest.raises(UsageError, match="no summaries"):
-            emit_report(empty, "json", None)
-
-    @pytest.mark.parametrize("renderer", ["_render_json", "_render_csv"])
-    def test_same_envelope_renders_identical_bytes(self, renderer):
-        from probegrover import cli
-
-        envelope = self.envelope()
-        render = getattr(cli, renderer)
-        assert render(envelope) == render(envelope)
-
-    def test_json_parses_and_csv_has_header(self):
-        from probegrover.cli import _render_csv, _render_json
-
-        envelope = self.envelope()
-        assert json.loads(_render_json(envelope))["seed"] == 7
-        assert _render_csv(envelope).startswith("strategy,")
+    def test_json_parses_and_csv_has_header(self, capsys):
+        report = self.report()
+        emit_report("json", *report, None)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == 7
+        assert payload["summaries"][0]["marked"] == [10]
+        emit_report("csv", *report, None)
+        assert capsys.readouterr().out.startswith("strategy,")

@@ -365,3 +365,8 @@ class TestConfigValidation:
     def test_oversized_database_rejected(self):
         with pytest.raises(ConfigurationError, match="at most"):
             config(db_size=1 << 26, num_subsystems=4, marked=(0,)).validate()
+
+    def test_subsystem_count_bounded(self):
+        config(db_size=1 << 18, num_subsystems=1 << 16, marked=(0,)).validate()
+        with pytest.raises(ConfigurationError, match="subsystems must be at most 65536"):
+            config(db_size=1 << 18, num_subsystems=1 << 17, marked=(0,)).validate()

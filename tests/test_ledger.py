@@ -17,7 +17,6 @@ from probegrover import (
     iter_trials,
     iteration_count,
     run_trials,
-    strategy_row,
     success_probability,
     summarize,
 )
@@ -184,9 +183,13 @@ class TestCompareStrategies:
         assert rows[0].mean_grover_iterations == 25.0
         assert rows[1].mean_grover_iterations == 12.0
 
-    def test_requires_at_least_two(self):
-        with pytest.raises(UsageError, match="at least two"):
-            compare_strategies([make_summary(PROBE, trials=5)])
+    def test_single_summary_gives_one_row(self):
+        (row,) = compare_strategies([make_summary(PROBE, trials=5)])
+        assert row.strategy == PROBE
+
+    def test_requires_a_summary(self):
+        with pytest.raises(UsageError, match="at least one"):
+            compare_strategies([])
 
     def test_rejects_different_databases(self):
         with pytest.raises(UsageError, match="different search problems"):
@@ -208,7 +211,7 @@ class TestCompareStrategies:
 
     def test_row_mirrors_summary(self):
         summary = make_summary(PROBE, trials=5)
-        row = strategy_row(summary)
+        row = compare_strategies([summary])[0]
         assert row.strategy == PROBE
         assert row.success_rate == summary.empirical_success_rate
         assert row.mean_decision_steps == summary.mean_ledger["decision_steps"]

@@ -1,8 +1,10 @@
 """The prepare → sample → merge trial engine against the per-trial dense
-chain it replaces, and the work it does once per configuration."""
+chain it replaces, its ledger identities as closed forms, and the work it
+does once per configuration."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -21,6 +23,7 @@ from probegrover import (
     child_rng,
     compose_with_probe,
     find_winner,
+    iteration_count,
     measure_probe,
     measure_register,
     run_grover,
@@ -120,6 +123,66 @@ def test_pipeline_matches_dense_chain(cfg):
             assert [o.reported_local_index for o in report.per_subsystem] == readouts
         assert report.recovered == recovered
         assert report.total_ledger == ledger
+
+
+def closed_form_ledger(cfg: ExperimentConfig, winners: int) -> CostLedger:
+    """Each strategy's trial cost from (N, M, R, marked) and the winner count.
+
+    Slices run iteration_count(N/M, local solutions) Grover iterations each;
+    the probe adds one boolean-oracle call and one probe qubit per slice and
+    measures log2(N/M) qubits per winner, verify measures every register
+    once and checks it with one classical call, repeat measures every
+    register R times, and sequential measures log2 N qubits once.
+    """
+    n, m = cfg.db_size, cfg.num_subsystems
+    if cfg.strategy == SEQUENTIAL:
+        iterations = iteration_count(n, len(cfg.global_marked))
+        return CostLedger(
+            qubits_measured=n.bit_length() - 1,
+            quantum_oracle_calls=iterations,
+            grover_iterations=iterations,
+        )
+    size = n // m
+    qubits = size.bit_length() - 1
+    local_counts = [0] * m
+    for g in cfg.global_marked:
+        local_counts[g // size] += 1
+    iterations = sum(iteration_count(size, k) for k in local_counts)
+    if cfg.strategy == PROBE:
+        return CostLedger(
+            qubits_measured=m + winners * qubits,
+            quantum_oracle_calls=iterations + m,
+            grover_iterations=iterations,
+        )
+    rounds = cfg.repeat_rounds if cfg.strategy == SEMICLASSICAL_REPEAT else 1
+    return CostLedger(
+        qubits_measured=m * rounds * qubits,
+        quantum_oracle_calls=rounds * iterations,
+        classical_oracle_calls=m if cfg.strategy == SEMICLASSICAL_VERIFY else 0,
+        grover_iterations=rounds * iterations,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_ledger_identities_hold_in_closed_form(cfg):
+    for report in run_trials(cfg):
+        # Decision steps depend on where the winners sit; the formula covers
+        # every other field.
+        expected = closed_form_ledger(cfg, len(report.winners))
+        assert replace(report.total_ledger, decision_steps=0) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(configs(), st.integers(1, 3))
+def test_trials_do_not_depend_on_the_trial_count(cfg, extra):
+    def outcomes(trials):
+        return [
+            (r.winners, r.recovered, r.total_ledger, r.per_subsystem)
+            for r in run_trials(replace(cfg, trials=trials))
+        ]
+
+    assert outcomes(cfg.trials + extra)[: cfg.trials] == outcomes(cfg.trials)
 
 
 @pytest.mark.parametrize(
