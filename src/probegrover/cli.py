@@ -157,6 +157,7 @@ def run_command(argv: list[str] | None = None) -> int:
     try:
         marked = _parse_marked(args.marked)
         strategies = _CLI_STRATEGIES[args.strategy]
+        # Building each configuration validates it before any trial runs.
         configs = [
             ExperimentConfig(
                 db_size=args.db_size,
@@ -169,7 +170,6 @@ def run_command(argv: list[str] | None = None) -> int:
             )
             for strategy in strategies
         ]
-        # Validates every configuration before any trial runs.
         trial_streams = [iter_trials(config) for config in configs]
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

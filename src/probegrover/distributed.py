@@ -29,8 +29,8 @@ pre-measurement state is fixed by the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,21 +70,22 @@ class SubsystemDescriptor:
     """One equal-size slice of the database: global index = offset + local."""
 
     id: int
-    offset: int
     size: int
     local_marked: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.size < 2 or not is_power_of_two(self.size):
             raise ValueError(f"sub-system size must be a power of two >= 2, got {self.size}")
-        if self.id < 0 or self.offset != self.id * self.size:
-            raise ValueError(
-                f"offset {self.offset} does not match id {self.id} times size {self.size}"
-            )
+        if self.id < 0:
+            raise ValueError(f"sub-system id must be non-negative, got {self.id}")
         for index in self.local_marked:
             if not 0 <= index < self.size:
                 raise ValueError(f"local marked index {index} out of range [0, {self.size})")
         object.__setattr__(self, "local_marked", frozenset(self.local_marked))
+
+    @property
+    def offset(self) -> int:
+        return self.id * self.size
 
     @property
     def num_qubits(self) -> int:
@@ -93,7 +94,7 @@ class SubsystemDescriptor:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Search problem, strategy, and reproducibility parameters."""
+    """Search problem, strategy, and reproducibility parameters, checked when built."""
 
     db_size: int
     num_subsystems: int
@@ -105,15 +106,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "global_marked", frozenset(self.global_marked))
+        self.validate()
 
     def validate(self) -> None:
         """Raise ConfigurationError unless every parameter is usable."""
-        _check_partition_args(self.db_size, self.num_subsystems)
-        for index in self.global_marked:
-            if not 0 <= index < self.db_size:
-                raise ConfigurationError(
-                    f"marked index {index} out of range for db-size {self.db_size}"
-                )
+        _check_partition(self.db_size, self.num_subsystems, self.global_marked)
         if self.strategy not in ALL_STRATEGIES:
             raise ConfigurationError(
                 f"strategy must be one of {', '.join(ALL_STRATEGIES)} (got {self.strategy!r})"
@@ -185,7 +182,7 @@ class WinnerDecision:
     decision_steps: int
 
 
-def _check_partition_args(db_size: int, num_subsystems: int) -> None:
+def _check_partition(db_size: int, num_subsystems: int, global_marked: Iterable[int]) -> None:
     if db_size < 2 or not is_power_of_two(db_size):
         raise ConfigurationError(f"db-size must be a power of two (got {db_size})")
     if db_size > (1 << MAX_QUBITS):
@@ -205,6 +202,11 @@ def _check_partition_args(db_size: int, num_subsystems: int) -> None:
             "subsystems must divide db-size with at least 2 items per sub-system "
             f"(got db-size={db_size}, subsystems={num_subsystems})"
         )
+    for index in global_marked:
+        if not 0 <= index < db_size:
+            raise ConfigurationError(
+                f"marked index {index} out of range for db-size {db_size}"
+            )
 
 
 def _check_repeat_rounds(rounds: int, db_size: int) -> None:
@@ -218,23 +220,20 @@ def _check_repeat_rounds(rounds: int, db_size: int) -> None:
         )
 
 
-def partition(db_size: int, num_subsystems: int) -> list[SubsystemDescriptor]:
-    """Split the database into equal power-of-two slices with running offsets."""
-    _check_partition_args(db_size, num_subsystems)
+def partition(
+    db_size: int, num_subsystems: int, global_marked: Collection[int] = ()
+) -> list[SubsystemDescriptor]:
+    """Split the database into equal power-of-two slices, bucketing the
+    marked indices into them in local coordinates in one pass."""
+    _check_partition(db_size, num_subsystems, global_marked)
     size = db_size // num_subsystems
+    local: dict[int, set[int]] = {}
+    for g in global_marked:
+        local.setdefault(g // size, set()).add(g % size)
     return [
-        SubsystemDescriptor(id=i, offset=i * size, size=size)
+        SubsystemDescriptor(id=i, size=size, local_marked=frozenset(local.get(i, ())))
         for i in range(num_subsystems)
     ]
-
-
-def localize_marked(
-    global_marked: frozenset[int], sub: SubsystemDescriptor
-) -> frozenset[int]:
-    """Marked indices falling inside the slice, shifted to local coordinates."""
-    return frozenset(
-        g - sub.offset for g in global_marked if sub.offset <= g < sub.offset + sub.size
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,19 +292,17 @@ def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:
     marked set, so slices that agree on both (every slice without a
     solution, for one) share one preparation. The sequential baseline is a
     single slice holding the whole database. No complex state outlives
-    this call. The configuration must already be validated.
+    this call.
     """
     num_subsystems = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
-    shared: dict[tuple[int, frozenset[int]], tuple] = {}
+    shared: dict[frozenset[int], tuple] = {}
     slices = []
-    for sub in partition(config.db_size, num_subsystems):
-        sub = replace(sub, local_marked=localize_marked(config.global_marked, sub))
-        key = (sub.size, sub.local_marked)
-        if key not in shared:
-            shared[key] = _distributions(
+    for sub in partition(config.db_size, num_subsystems, config.global_marked):
+        if sub.local_marked not in shared:
+            shared[sub.local_marked] = _distributions(
                 config.strategy, sub.num_qubits, sub.local_marked, _rounds(config)
             )
-        slices.append(PreparedSlice(sub, *shared[key]))
+        slices.append(PreparedSlice(sub, *shared[sub.local_marked]))
     return tuple(slices)
 
 
@@ -479,7 +476,12 @@ _MERGES = {
 }
 
 
-def _sample_and_merge(config: ExperimentConfig) -> Iterator[RunReport]:
+def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
+    """Stream the configured trials of the configured strategy.
+
+    The slices are prepared when the first trial is drawn and released with
+    the iterator, so memory does not grow with the number of trials.
+    """
     slices = prepare(config)
     base = sum((s.ledger for s in slices), CostLedger())
     merge = _MERGES[config.strategy]
@@ -495,17 +497,6 @@ def _sample_and_merge(config: ExperimentConfig) -> Iterator[RunReport]:
         ]
         winners, recovered, outcomes, cost = merge(config, slices, draws, trial)
         yield _report(config, winners, recovered, outcomes, base + cost)
-
-
-def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
-    """Stream the configured trials of the configured strategy.
-
-    The configuration is validated at once. The slices are prepared when
-    the first trial is drawn and released with the iterator, so memory does
-    not grow with the number of trials.
-    """
-    config.validate()
-    return _sample_and_merge(config)
 
 
 def run_trials(config: ExperimentConfig) -> list[RunReport]:

@@ -28,9 +28,11 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _check_search_space(size: int) -> None:
+def _check_search_space(size: int, solutions: int) -> None:
     if size < 2 or not is_power_of_two(size):
         raise ValueError(f"search-space size must be a power of two >= 2, got {size}")
+    if not 0 <= solutions <= size:
+        raise ValueError(f"solutions must be in [0, {size}], got {solutions}")
 
 
 def iteration_count(size: int, solutions: int) -> int:
@@ -38,9 +40,7 @@ def iteration_count(size: int, solutions: int) -> int:
 
     Zero solutions means there is nothing to amplify, so zero iterations.
     """
-    _check_search_space(size)
-    if not 0 <= solutions <= size:
-        raise ValueError(f"solutions must be in [0, {size}], got {solutions}")
+    _check_search_space(size, solutions)
     if solutions == 0:
         return 0
     return math.floor(math.pi / 4.0 * math.sqrt(size / solutions))
@@ -52,9 +52,7 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     Returns sin^2((2r+1) * theta) with theta = asin(sqrt(solutions/size));
     zero when no solution state exists.
     """
-    _check_search_space(size)
-    if not 0 <= solutions <= size:
-        raise ValueError(f"solutions must be in [0, {size}], got {solutions}")
+    _check_search_space(size, solutions)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if solutions == 0:

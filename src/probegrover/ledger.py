@@ -135,7 +135,8 @@ def compare_strategies(summaries: Sequence[TrialSummary]) -> list[StrategyRow]:
         if (summary.db_size, summary.marked) != (first.db_size, first.marked):
             raise UsageError(
                 "summaries compare different search problems: "
-                f"(db_size={summary.db_size}) vs (db_size={first.db_size})"
+                f"(db_size={summary.db_size}, marked={sorted(summary.marked)}) vs "
+                f"(db_size={first.db_size}, marked={sorted(first.marked)})"
             )
     for summary in distributed:
         if summary.num_subsystems != distributed[0].num_subsystems:

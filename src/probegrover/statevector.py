@@ -87,10 +87,6 @@ class ComposedState:
             and np.array_equal(self.amplitudes, other.amplitudes)
         )
 
-    @property
-    def register_dim(self) -> int:
-        return 1 << self.num_register_qubits
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -247,8 +243,6 @@ def measure_probe(
     one qubit is measured regardless of the register size.
     """
     branch_mass = probe_branch_masses(composed)
-    if branch_mass.sum() <= 0.0:
-        raise InvariantError("both probe branches have zero norm")
     bit = sample_cdf(np.cumsum(branch_mass), rng)
     probability = float(branch_mass[bit])
     outcome = ProbeOutcome(bit=bit, probability=probability)

@@ -4,8 +4,12 @@ sequential baseline, and determinism."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probegrover import (
     ConfigurationError,
@@ -21,7 +25,6 @@ from probegrover import (
     find_winner,
     iter_trials,
     iteration_count,
-    localize_marked,
     partition,
     run_trials,
     success_probability,
@@ -70,27 +73,60 @@ class TestPartition:
         with pytest.raises(ConfigurationError, match="at least 2 items"):
             partition(8, 8)
 
-    def test_descriptor_offset_invariant(self):
-        with pytest.raises(ValueError, match="offset"):
-            SubsystemDescriptor(id=1, offset=3, size=4)
+    def test_descriptor_offset_is_derived(self):
+        assert SubsystemDescriptor(id=3, size=4).offset == 12
+        with pytest.raises(ValueError, match="non-negative"):
+            SubsystemDescriptor(id=-1, size=4)
 
     def test_descriptor_local_marked_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            SubsystemDescriptor(id=0, offset=0, size=4, local_marked=frozenset({4}))
+            SubsystemDescriptor(id=0, size=4, local_marked=frozenset({4}))
+
+    @pytest.mark.parametrize("index", [16, -1])
+    def test_marked_outside_database_rejected(self, index):
+        # Neither dropped nor wrapped round to the last slice.
+        with pytest.raises(ConfigurationError, match="out of range for db-size 16"):
+            partition(16, 4, {index})
 
 
 class TestLocalizeMarked:
+    """``partition`` hands each slice the marked indices inside it, shifted
+    to local coordinates."""
+
     def test_shifts_into_local_coordinates(self):
-        sub = SubsystemDescriptor(id=2, offset=8, size=4)
-        assert localize_marked(frozenset({10}), sub) == {2}
+        assert partition(16, 4, {10})[2].local_marked == {2}
 
     def test_outside_slice_is_empty(self):
-        sub = SubsystemDescriptor(id=0, offset=0, size=4)
-        assert localize_marked(frozenset({10}), sub) == frozenset()
+        assert partition(16, 4, {10})[0].local_marked == frozenset()
 
     def test_multiple_indices(self):
-        sub = SubsystemDescriptor(id=1, offset=4, size=4)
-        assert localize_marked(frozenset({4, 7}), sub) == {0, 3}
+        assert partition(16, 4, {4, 7})[1].local_marked == {0, 3}
+
+
+@st.composite
+def partitions(draw) -> tuple[int, int, frozenset[int]]:
+    exponent = draw(st.integers(1, 10))
+    db_size = 1 << exponent
+    num_subsystems = 1 << draw(st.integers(0, exponent - 1))
+    # Any count up to N, so sets larger than M and crowded slices are common.
+    count = draw(st.integers(0, db_size))
+    marked = frozenset(draw(st.randoms(use_true_random=False)).sample(range(db_size), count))
+    return db_size, num_subsystems, marked
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(partitions())
+def test_partition_buckets_match_brute_force_filter(args):
+    db_size, num_subsystems, marked = args
+    subs = partition(db_size, num_subsystems, marked)
+    size = db_size // num_subsystems
+    assert [s.id for s in subs] == list(range(num_subsystems))
+    for i, sub in enumerate(subs):
+        assert sub.size == size and sub.offset == i * size
+        assert sub.local_marked == {
+            g - i * size for g in marked if i * size <= g < (i + 1) * size
+        }
+    assert {s.offset + local for s in subs for local in s.local_marked} == marked
 
 
 class TestRunSubsystemProbe:
@@ -281,14 +317,13 @@ class TestRepeatStrategy:
         assert any(r.recovered == (10,) for r in reports)
 
     def test_round_bound_is_global_birthday_bound(self):
-        bad = config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=4)
         with pytest.raises(ConfigurationError, match="sqrt"):
-            bad.validate()
+            config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=4)
         config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=2).validate()
 
     def test_rounds_below_two_rejected(self):
         with pytest.raises(ConfigurationError, match="at least 2"):
-            config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=1).validate()
+            config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=1)
 
     def test_exact_qubit_count_at_large_slices(self):
         cfg = config(
@@ -348,25 +383,28 @@ class TestDeterminism:
 
 
 class TestConfigValidation:
+    """A configuration is checked when it is built, so an unusable one
+    never exists."""
+
     def test_marked_out_of_range(self):
         with pytest.raises(ConfigurationError, match="out of range"):
-            config(marked=(16,)).validate()
+            config(marked=(16,))
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigurationError, match="strategy"):
-            config(strategy="quantum-telepathy").validate()
+            config(strategy="quantum-telepathy")
 
     def test_bad_trials_and_seed(self):
         with pytest.raises(ConfigurationError, match="trials"):
-            config(trials=0).validate()
+            ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=7, trials=0)
         with pytest.raises(ConfigurationError, match="seed"):
-            config(seed=-1).validate()
+            replace(config(), seed=-1)
 
     def test_oversized_database_rejected(self):
         with pytest.raises(ConfigurationError, match="at most"):
-            config(db_size=1 << 26, num_subsystems=4, marked=(0,)).validate()
+            config(db_size=1 << 26, num_subsystems=4, marked=(0,))
 
     def test_subsystem_count_bounded(self):
         config(db_size=1 << 18, num_subsystems=1 << 16, marked=(0,)).validate()
         with pytest.raises(ConfigurationError, match="subsystems must be at most 65536"):
-            config(db_size=1 << 18, num_subsystems=1 << 17, marked=(0,)).validate()
+            config(db_size=1 << 18, num_subsystems=1 << 17, marked=(0,))

@@ -199,6 +199,14 @@ class TestCompareStrategies:
                     make_summary(SEMICLASSICAL_VERIFY, db_size=512, marked=(77,), trials=5),
                 ]
             )
+        # Same size, different marked sets: the message names both sets.
+        with pytest.raises(UsageError, match=r"marked=\[5\]\) vs .*marked=\[3\]\)"):
+            compare_strategies(
+                [
+                    make_summary(PROBE, db_size=16, marked=(3,), trials=2),
+                    make_summary(PROBE, db_size=16, marked=(5,), trials=2),
+                ]
+            )
 
     def test_rejects_different_subsystem_counts(self):
         with pytest.raises(UsageError, match="sub-system counts"):
