@@ -22,7 +22,8 @@ reproducible and independent of sub-system scheduling.
 Every strategy runs as one pipeline. ``prepare`` runs the Grover search
 once per distinct (slice size, local marked set) and keeps only the
 cumulative outcome masses a measurement samples from; each trial then
-samples those with one seed-tree stream per draw, and a per-strategy merge
+samples those with one seed-tree stream per draw (the streams' first values
+computed in blocks by ``first_draws``), and a per-strategy merge
 turns the draws into a report. Only the draws differ between trials: the
 pre-measurement state is fixed by the closed form.
 """
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, ProtocolError
 from .grover import is_power_of_two, run_grover
 from .ledger import CostLedger
-from .seeding import child_rng
+from .seeding import child_rng, first_draws
 from .statevector import (
     MAX_QUBITS,
     apply_boolean_oracle,
@@ -59,6 +60,12 @@ ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 # the probe's recovery measurement draws at stage 1.
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
 _STAGE_RECOVER = 1
+
+# Trials are drawn in chunks of about _CHUNK_KEYS seed-tree keys (at least
+# one trial), hashed _BLOCK_KEYS keys per numpy pass. Both trade speed for
+# transient memory only; neither can change a draw.
+_CHUNK_KEYS = 1 << 10
+_BLOCK_KEYS = 1 << 10
 
 # Each slice costs about 760 B of peak memory on top of the interpreter
 # (one probe trial at N=2M); 2**16 slices stay below about 85 MiB.
@@ -358,7 +365,7 @@ def recover_global(
         raise ProtocolError(
             f"sub-system {sub.id} has no retained probe-conditioned register"
         )
-    return sub.offset + sample_cdf(prepared.fired_cdf, rng)
+    return sub.offset + sample_cdf(prepared.fired_cdf, rng.random())
 
 
 # What a merge decides in one trial: winning sub-systems, recovered global
@@ -476,27 +483,66 @@ _MERGES = {
 }
 
 
+def _uniforms(
+    seed: int, slot: int, first_trial: int, trials: int, num_slices: int, rounds: int
+) -> np.ndarray:
+    """The first draw of every stream (slot, trial, sub, stage) of ``trials``
+    trials from ``first_trial``, shaped (trials, slices, rounds).
+
+    Keys are derived from their flat index ``_BLOCK_KEYS`` at a time, so no
+    key matrix larger than one block is ever built.
+    """
+    per_trial = num_slices * rounds
+    total = trials * per_trial
+    uniforms = np.empty(total)
+    for start in range(0, total, _BLOCK_KEYS):
+        flat = np.arange(start, min(start + _BLOCK_KEYS, total), dtype=np.uint64)
+        keys = np.empty((len(flat), 4), dtype=np.uint64)
+        keys[:, 0] = slot
+        keys[:, 1] = first_trial + flat // per_trial
+        keys[:, 2] = flat // rounds % num_slices
+        keys[:, 3] = flat % rounds
+        uniforms[start : start + len(flat)] = first_draws(seed, keys)
+    return uniforms.reshape(trials, num_slices, rounds)
+
+
+def _draw_chunk(
+    config: ExperimentConfig, groups: Iterable, num_slices: int, first_trial: int, trials: int
+) -> list:
+    """Outcome indices [trial][sub][stage] of ``trials`` trials from
+    ``first_trial``: each group of slices sharing one prepared distribution
+    is sampled for the whole chunk at once."""
+    uniforms = _uniforms(
+        config.seed, _SEED_SLOT[config.strategy], first_trial, trials, num_slices, _rounds(config)
+    )
+    drawn = np.empty(uniforms.shape, dtype=np.intp)
+    for cdf, ids in groups:
+        drawn[:, ids] = sample_cdf(cdf, uniforms[:, ids])
+    return drawn.tolist()
+
+
 def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
     """Stream the configured trials of the configured strategy.
 
-    The slices are prepared when the first trial is drawn and released with
-    the iterator, so memory does not grow with the number of trials.
+    Trials are drawn in chunks of about ``_CHUNK_KEYS`` draws, each the
+    first ``random()`` of its own seed-tree stream as ``first_draws``
+    computes it. The slices are prepared when the first trial is drawn and
+    released with the iterator, so memory does not grow with the number of
+    trials.
     """
     slices = prepare(config)
     base = sum((s.ledger for s in slices), CostLedger())
     merge = _MERGES[config.strategy]
-    slot = _SEED_SLOT[config.strategy]
-    stages = range(_rounds(config))
-    for trial in range(config.trials):
-        draws = [
-            [
-                sample_cdf(s.cdf, child_rng(config.seed, slot, trial, s.sub.id, stage))
-                for stage in stages
-            ]
-            for s in slices
-        ]
-        winners, recovered, outcomes, cost = merge(config, slices, draws, trial)
-        yield _report(config, winners, recovered, outcomes, base + cost)
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for s in slices:
+        groups.setdefault(id(s.cdf), (s.cdf, []))[1].append(s.sub.id)
+    chunk = max(1, _CHUNK_KEYS // (len(slices) * _rounds(config)))
+    for first in range(0, config.trials, chunk):
+        trials = min(chunk, config.trials - first)
+        drawn = _draw_chunk(config, groups.values(), len(slices), first, trials)
+        for trial, draws in enumerate(drawn, start=first):
+            winners, recovered, outcomes, cost = merge(config, slices, draws, trial)
+            yield _report(config, winners, recovered, outcomes, base + cost)
 
 
 def run_trials(config: ExperimentConfig) -> list[RunReport]:

@@ -7,9 +7,11 @@ index, so the two conditional halves of the joint state are the even and
 odd stride-2 slices of one array.
 
 All operations are pure: they return new values and never mutate their
-inputs. The two measurement operations draw from a caller-supplied numpy
-``Generator`` via inverse-CDF sampling over the outcome distribution
-(``sample_cdf``), so a fixed seed fully determines every outcome.
+inputs. Every measurement is an inverse-CDF draw over the cumulative
+outcome masses (``sample_cdf``). The two measurement operations take one
+uniform from a caller-supplied numpy ``Generator``; the trial engine hands
+``sample_cdf`` whole arrays of uniforms instead, with the same arithmetic,
+so a fixed seed fully determines every outcome either way.
 """
 
 from __future__ import annotations
@@ -190,20 +192,20 @@ def apply_boolean_oracle(
     return ComposedState(composed.num_register_qubits, joint)
 
 
-def sample_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarray:
     """Inverse-CDF draw from cumulative outcome masses (not necessarily
     normalized); zero-probability outcomes are never selected.
 
-    Every measurement in the package draws through this routine: one
-    uniform variate from ``rng`` scaled by the total mass, located with a
-    right-sided binary search.
+    Every measurement in the package draws through this routine: each
+    uniform variate in [0, 1), a float or an array of them, is scaled by the
+    total mass and located with a right-sided binary search. Returns an int
+    for a float and an index array of the same shape for an array.
     """
     total = cdf[-1]
     if total <= 0.0:
         raise InvariantError("outcome distribution has zero total mass")
-    draw = rng.random() * total
-    index = int(np.searchsorted(cdf, draw, side="right"))
-    return min(index, len(cdf) - 1)
+    index = np.minimum(np.searchsorted(cdf, uniforms * total, side="right"), len(cdf) - 1)
+    return index if np.ndim(index) else int(index)
 
 
 def born_cdf(state: StateVector) -> np.ndarray:
@@ -243,7 +245,7 @@ def measure_probe(
     one qubit is measured regardless of the register size.
     """
     branch_mass = probe_branch_masses(composed)
-    bit = sample_cdf(np.cumsum(branch_mass), rng)
+    bit = sample_cdf(np.cumsum(branch_mass), rng.random())
     probability = float(branch_mass[bit])
     outcome = ProbeOutcome(bit=bit, probability=probability)
     return outcome, collapse_probe(composed, bit, probability)
@@ -254,7 +256,7 @@ def measure_register(
 ) -> MeasurementRecord:
     """Measure the full register in the computational basis (Born rule)."""
     probabilities = np.abs(state.amplitudes) ** 2
-    index = sample_cdf(np.cumsum(probabilities), rng)
+    index = sample_cdf(np.cumsum(probabilities), rng.random())
     return MeasurementRecord(
         outcome=index,
         probability=float(probabilities[index]),

@@ -144,7 +144,7 @@ class TestRunSubsystemProbe:
 
     def test_certain_detection_at_four_items(self):
         prepared = prepare(config(marked=(11,)))[2]
-        assert sample_cdf(prepared.cdf, np.random.default_rng(0)) == 1
+        assert sample_cdf(prepared.cdf, np.random.default_rng(0).random()) == 1
         register = np.diff(prepared.fired_cdf, prepend=0.0)
         np.testing.assert_allclose(register, [0, 0, 0, 1], atol=1e-12)
         assert prepared.ledger.quantum_oracle_calls == 2
@@ -152,7 +152,7 @@ class TestRunSubsystemProbe:
     def test_detection_rate_matches_closed_form(self):
         (prepared,) = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
         trials = 10_000
-        hits = sum(sample_cdf(prepared.cdf, child_rng(99, t)) for t in range(trials))
+        hits = sum(sample_cdf(prepared.cdf, child_rng(99, t).random()) for t in range(trials))
         expected = success_probability(256, 1, 12)
         assert abs(hits / trials - expected) < 0.01
 

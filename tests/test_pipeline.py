@@ -23,6 +23,7 @@ from probegrover import (
     child_rng,
     compose_with_probe,
     find_winner,
+    iter_trials,
     iteration_count,
     measure_probe,
     measure_register,
@@ -204,3 +205,19 @@ def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
         cfg = ExperimentConfig(64, 4, frozenset({37, 5}), strategy, seed=1, trials=trials)
         run_trials(cfg)
         assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize("block_keys, chunk_trials", [(5, 2), (7, 1), (3, 3)])
+def test_chunk_and_block_sizes_never_change_a_trial(monkeypatch, strategy, block_keys, chunk_trials):
+    # 16 slices and 3 repeat rounds: a repeat trial draws 48 keys, so it
+    # spans many blocks, and 7 trials leave a short last chunk. At the
+    # default sizes all 7 trials are one chunk and one block.
+    cfg = ExperimentConfig(
+        256, 16, frozenset({3, 40, 41, 200}), strategy, seed=11, trials=7, repeat_rounds=3
+    )
+    expected = list(iter_trials(cfg))
+    per_trial = (1 if strategy == SEQUENTIAL else 16) * distributed._rounds(cfg)
+    monkeypatch.setattr(distributed, "_BLOCK_KEYS", block_keys)
+    monkeypatch.setattr(distributed, "_CHUNK_KEYS", chunk_trials * per_trial + 1)
+    assert list(iter_trials(cfg)) == expected

@@ -24,6 +24,7 @@ from probegrover import (
     run_grover,
     state_from_amplitudes,
 )
+from probegrover.statevector import sample_cdf
 
 
 def peaked_composed(num_qubits: int, solution: int, solution_mass: float) -> ComposedState:
@@ -286,3 +287,25 @@ class TestNormPreservation:
             assert abs(norm_sq(joint.amplitudes) - 1) < 1e-12
             _, post = measure_probe(joint, rng)
             assert abs(norm_sq(post.amplitudes) - 1) < 1e-12
+
+
+class TestSampleCdf:
+    """One inverse-CDF routine for a single uniform and for arrays of them."""
+
+    # Unnormalized masses with zero-mass outcomes at indices 1 and 3.
+    CDF = np.cumsum([0.1, 0.0, 0.25, 0.0, 0.4])
+
+    def test_array_form_matches_scalar_form(self):
+        uniforms = np.array([0.0, 0.1 / 0.75, 0.2, 0.5, 0.9, np.nextafter(1.0, 0.0)])
+        drawn = sample_cdf(self.CDF, uniforms.reshape(2, 3))
+        singles = [sample_cdf(self.CDF, float(u)) for u in uniforms]
+        assert drawn.shape == (2, 3)
+        assert drawn.ravel().tolist() == singles == [0, 2, 2, 4, 4, 4]
+        assert all(type(i) is int for i in singles)
+
+    def test_zero_mass_raises_for_both_forms(self):
+        dead = np.zeros(4)
+        with pytest.raises(InvariantError):
+            sample_cdf(dead, 0.5)
+        with pytest.raises(InvariantError):
+            sample_cdf(dead, np.array([0.1, 0.5]))
