@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -121,3 +122,20 @@ def test_matches_golden_state():
     assert stats.iterations == payload["iterations"]
     expected = np.array([complex(re, im) for re, im in payload["amplitudes"]])
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
+# sha256 of run_grover(20, marked).amplitudes.tobytes(), written by the dense
+# oracle+diffusion loop; N=2^20 is the size the benchmark runs.
+AMPLITUDE_PINS = [
+    ({123456}, 804, "7459e80fe9496b7a1ad9e6f6e68488c5073b83afd94e9fff0518be534e852a2f"),
+    ({5, 699050, 1048575}, 464, "93b156eb7759a8ec8a445663ffb2cd8374f6b274558968ef1ae0e437b873458e"),
+]
+
+
+@pytest.mark.parametrize(
+    "marked, iterations, digest", AMPLITUDE_PINS, ids=["one-marked", "three-marked"]
+)
+def test_amplitude_bytes_match_pin_at_twenty_qubits(marked, iterations, digest):
+    state, stats = run_grover(20, marked)
+    assert stats.iterations == iterations
+    assert hashlib.sha256(state.amplitudes.tobytes()).hexdigest() == digest
