@@ -3,6 +3,16 @@
 The closed form sin^2((2r+1) * asin(sqrt(t/n))) predicts the probability
 mass on the t solution states after r oracle+diffusion iterations over n
 items, and serves as the analytic cross-check for the simulated loop.
+
+Starting from the uniform state, every oracle+diffusion iteration keeps
+the register two-valued: one amplitude on all marked items and one on the
+rest (Boyer, Brassard, Hoyer and Tapp, 1998). ``run_grover`` therefore
+iterates on the pair ``[unmarked, marked]`` and writes the dense state
+once at the end. It returns the same bytes as the dense loop
+``apply_diffusion(apply_phase_oracle(state, marked))``: the oracle and the
+reflection are the same numpy operations applied to the pair, and the one
+step whose rounding depends on the register size, the mean, is replayed
+exactly (``_TwoValueSum``).
 """
 
 from __future__ import annotations
@@ -13,7 +23,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .statevector import StateVector, apply_diffusion, apply_phase_oracle, new_uniform
+from .statevector import StateVector, _check_num_qubits, _marked_indices
+
+# Complex items per leaf of numpy's pairwise sum: it adds blocks of up to
+# 128 doubles with an 8-way unroll and splits anything longer into halves.
+_LEAF = 64
 
 
 @dataclass
@@ -61,6 +75,50 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+class _TwoValueSum:
+    """``np.add.reduce(amps)`` of a two-valued register, bit for bit.
+
+    numpy's complex ``add.reduce`` over a power-of-two N sums leaves of 64
+    items and adds sibling sums pairwise up a balanced tree, and
+    ``amps.mean()`` divides that sum by N. Every leaf and subtree without
+    a marked item has the same sum at its height, so only the leaves that
+    hold marked items and their ancestors are computed: O(log N) numpy
+    calls per sum, over 64 items per marked-holding leaf at the bottom
+    and one entry per marked-holding node above. A register of at most
+    64 items is one leaf.
+    """
+
+    def __init__(self, num_qubits: int, indices: np.ndarray) -> None:
+        dim = 1 << num_qubits
+        width = min(dim, _LEAF)
+        leaves, row = np.unique(indices // width, return_inverse=True)
+        # Which items of each marked-holding leaf are marked.
+        self.mask = np.zeros((len(leaves), width), dtype=bool)
+        self.mask[row, indices % width] = True
+        self.width = width
+        # Per tree level: the parent count, and where each node that holds a
+        # marked item sits among the parents' children (left, right).
+        self.levels = []
+        ids = leaves
+        for _ in range((dim // width).bit_length() - 1):
+            parents, pos = np.unique(ids >> 1, return_inverse=True)
+            self.levels.append((len(parents), 2 * pos + (ids & 1)))
+            ids = parents
+
+    def __call__(self, unmarked: np.complex128, marked: np.complex128) -> np.complex128:
+        # Each reduce here starts from +0.0, as the whole-array reduce does.
+        # That can only turn a -0.0 node sum into +0.0, which the whole-array
+        # reduce does to its root anyway.
+        dirty = np.add.reduce(np.where(self.mask, marked, unmarked), axis=1)
+        clean = np.add.reduce(np.full(self.width, unmarked))
+        for count, slots in self.levels:
+            children = np.full(2 * count, clean)
+            children[slots] = dirty
+            dirty = children[0::2] + children[1::2]
+            clean = clean + clean
+        return dirty[0]
+
+
 def run_grover(
     num_qubits: int, marked: Iterable[int]
 ) -> tuple[StateVector, GroverRunStats]:
@@ -68,11 +126,25 @@ def run_grover(
 
     Applies the phase oracle then diffusion for the scheduled number of
     iterations and reports the final probability mass on the marked states.
+    The loop runs on the two distinct amplitudes ``[unmarked, marked]``
+    with the dense loop's own numpy operations: the oracle negates the
+    marked value as ``apply_phase_oracle`` does, the reflection is
+    ``apply_diffusion``'s ``2.0 * mean - amps``, and ``_TwoValueSum``
+    replays numpy's summation order for the mean. So the returned
+    amplitudes are the dense loop's bytes, at O(log N) work per iteration.
     """
-    marked = frozenset(int(i) for i in marked)
-    state = new_uniform(num_qubits)
-    rounds = iteration_count(state.dim, len(marked))
-    for _ in range(rounds):
-        state = apply_diffusion(apply_phase_oracle(state, marked))
-    mass = float(np.sum(np.abs(state.amplitudes[sorted(marked)]) ** 2)) if marked else 0.0
-    return state, GroverRunStats(iterations=rounds, final_success_probability=mass)
+    _check_num_qubits(num_qubits)
+    indices = _marked_indices(marked, num_qubits)
+    dim = 1 << num_qubits
+    rounds = iteration_count(dim, len(indices))
+    vals = np.full(2, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    if rounds:
+        total = _TwoValueSum(num_qubits, indices)
+        for _ in range(rounds):
+            vals[1:] *= -1.0
+            vals = 2.0 * (total(*vals) / dim) - vals
+    amps = np.full(dim, vals[0])
+    amps[indices] = vals[1]
+    mass = float(np.sum(np.abs(amps[indices]) ** 2))
+    stats = GroverRunStats(iterations=rounds, final_success_probability=mass)
+    return StateVector(num_qubits, amps), stats

@@ -110,12 +110,16 @@ class ProbeOutcome:
     qubits_measured: int = 1
 
 
-def new_uniform(num_qubits: int) -> StateVector:
-    """Uniform superposition over all 2**num_qubits basis states."""
+def _check_num_qubits(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"num_qubits must be between 1 and {MAX_QUBITS}, got {num_qubits}"
         )
+
+
+def new_uniform(num_qubits: int) -> StateVector:
+    """Uniform superposition over all 2**num_qubits basis states."""
+    _check_num_qubits(num_qubits)
     dim = 1 << num_qubits
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(num_qubits, amps)
@@ -212,7 +216,11 @@ def born_cdf(state: StateVector) -> np.ndarray:
     """Cumulative Born probabilities of a full register measurement, in
     basis order, summed exactly as ``measure_register`` sums them so that
     a draw lands on the same outcome."""
-    return np.cumsum(np.abs(state.amplitudes) ** 2)
+    # Squared and summed in place: one O(N) temporary, and the same bytes
+    # as np.cumsum(np.abs(amplitudes) ** 2).
+    masses = np.abs(state.amplitudes)
+    np.multiply(masses, masses, out=masses)
+    return np.cumsum(masses, out=masses)
 
 
 def probe_branch_masses(composed: ComposedState) -> np.ndarray:

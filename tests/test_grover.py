@@ -18,6 +18,7 @@ from probegrover import (
     run_grover,
     success_probability,
 )
+from probegrover.grover import _TwoValueSum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -109,6 +110,12 @@ class TestRunGrover:
         expected = success_probability(16, 2, stats.iterations)
         assert abs(stats.final_success_probability - expected) < 1e-9
 
+    @pytest.mark.parametrize("marked", [{-1, 0}, {0, 5}], ids=["negative", "past-end"])
+    def test_rejects_out_of_range_marked_without_iterations(self, marked):
+        # Both sets fill or overfill 2 items, so the schedule has no iteration.
+        with pytest.raises(ValueError, match="out of range"):
+            run_grover(1, marked)
+
     def test_no_solution_neutrality_over_many_steps(self):
         state = new_uniform(3)
         for _ in range(5):
@@ -139,3 +146,55 @@ def test_amplitude_bytes_match_pin_at_twenty_qubits(marked, iterations, digest):
     state, stats = run_grover(20, marked)
     assert stats.iterations == iterations
     assert hashlib.sha256(state.amplitudes.tobytes()).hexdigest() == digest
+
+
+def bits(values) -> np.ndarray:
+    """The raw float64 words, so signed zeros and NaN payloads compare too."""
+    return np.atleast_1d(values).view(np.uint64)
+
+
+def dense_grover(num_qubits: int, marked: set[int]) -> np.ndarray:
+    """The dense oracle+diffusion loop that ``run_grover`` reproduces."""
+    state = new_uniform(num_qubits)
+    for _ in range(iteration_count(state.dim, len(marked))):
+        state = apply_diffusion(apply_phase_oracle(state, marked))
+    return state.amplitudes
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 15))
+def test_matches_dense_loop_bit_for_bit(num_qubits):
+    size = 1 << num_qubits
+    rng = np.random.default_rng(num_qubits)
+    counts = {0, 1, 2, 3, 5, 8, 17, 64, size // 3, size // 2, size - 1, size}
+    for count in sorted(c for c in counts if c <= size):
+        marked = set(rng.choice(size, count, replace=False).tolist())
+        state, _ = run_grover(num_qubits, marked)
+        assert np.array_equal(bits(state.amplitudes), bits(dense_grover(num_qubits, marked))), count
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 21))
+def test_two_value_sum_replays_numpy_reduce(num_qubits):
+    # Fails if numpy changes the blocking of its pairwise complex sum.
+    size = 1 << num_qubits
+    rng = np.random.default_rng(100 + num_qubits)
+    leaf_edges = {0, 63, 64, 127, 128, size // 2 - 1, size // 2, size - 64, size - 1}
+    marked_sets = [
+        {i for i in leaf_edges if 0 <= i < size},
+        set(rng.choice(size, min(size, 5), replace=False).tolist()),
+        set(rng.choice(size, size // 7 + 1, replace=False).tolist()),
+    ]
+    value_pairs = [
+        (complex(*rng.normal(size=2)), complex(*rng.normal(size=2))),
+        (complex(rng.normal(), -0.0), complex(-rng.normal(), 0.0)),
+        (complex(-0.0, -0.0), complex(-0.0, 0.0)),
+        (complex(1e16, 3.0), complex(-1e-3, 1e16)),
+    ]
+    for marked in marked_sets:
+        indices = np.array(sorted(marked))
+        total = _TwoValueSum(num_qubits, indices)
+        for unmarked, hit in value_pairs:
+            amps = np.full(size, unmarked)
+            amps[indices] = hit
+            replayed = total(np.complex128(unmarked), np.complex128(hit))
+            assert bits(replayed).tolist() == bits(np.add.reduce(amps)).tolist()
+            assert bits(replayed / size).tolist() == bits(amps.mean()).tolist()
