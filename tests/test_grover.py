@@ -112,7 +112,7 @@ class TestRunGrover:
 
     @pytest.mark.parametrize("marked", [{-1, 0}, {0, 5}], ids=["negative", "past-end"])
     def test_rejects_out_of_range_marked_without_iterations(self, marked):
-        # Both sets fill or overfill 2 items, so the schedule has no iteration.
+        # Both sets hold N=2 items, so the schedule has no iteration.
         with pytest.raises(ValueError, match="out of range"):
             run_grover(1, marked)
 
@@ -149,7 +149,7 @@ def test_amplitude_bytes_match_pin_at_twenty_qubits(marked, iterations, digest):
 
 
 def bits(values) -> np.ndarray:
-    """The raw float64 words, so signed zeros and NaN payloads compare too."""
+    """The raw float64 words, so signed zeros compare too."""
     return np.atleast_1d(values).view(np.uint64)
 
 
