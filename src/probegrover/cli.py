@@ -33,10 +33,10 @@ from .distributed import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
-    iter_trials,
+    summarize_trials,
 )
 from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
-from .ledger import StrategyRow, TrialSummary, compare_strategies, summarize
+from .ledger import StrategyRow, TrialSummary, compare_strategies
 
 _CLI_STRATEGIES = {
     "probe": (PROBE,),
@@ -170,13 +170,12 @@ def run_command(argv: list[str] | None = None) -> int:
             )
             for strategy in strategies
         ]
-        trial_streams = [iter_trials(config) for config in configs]
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        summaries = [summarize(trials) for trials in trial_streams]
+        summaries = [summarize_trials(config) for config in configs]
         rows = compare_strategies(summaries)
     except (InvariantError, ProtocolError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -21,24 +21,31 @@ reproducible and independent of sub-system scheduling.
 
 Every strategy runs as one pipeline. ``prepare`` runs the Grover search
 once per distinct (slice size, local marked set) and keeps only the
-cumulative outcome masses a measurement samples from; each trial then
-samples those with one seed-tree stream per draw (the streams' first values
-computed in blocks by ``first_draws``), and a per-strategy merge
-turns the draws into a report. Only the draws differ between trials: the
-pre-measurement state is fixed by the closed form.
+cumulative outcome masses a measurement samples from. Trials are then
+drawn a chunk at a time: every draw is the first value of its own
+seed-tree stream, computed in blocks by ``first_draws``, and each shared
+distribution is sampled for the whole chunk at once. The merge works on
+the chunk's (trials, slices, rounds) outcome array as a whole, giving one
+column per quantity (winners, recovered indices, correctness, merge cost);
+``summarize_trials`` folds those columns into integer totals, and
+``iter_trials`` builds per-trial reports from the same columns. Only the
+draws differ between trials: the pre-measurement state is fixed by the
+closed form, and so is every cost the merge does not read off a draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
 from .grover import is_power_of_two, run_grover
-from .ledger import CostLedger
-from .seeding import child_rng, first_draws
+from .ledger import CostLedger, TrialSummary, fold_summary
+# child_rng is the per-stream reference for first_draws; it stays importable
+# here for callers that look the seed tree up through this module.
+from .seeding import child_rng, first_draws  # noqa: F401
 from .statevector import (
     MAX_QUBITS,
     apply_boolean_oracle,
@@ -63,9 +70,11 @@ _STAGE_RECOVER = 1
 
 # Trials are drawn in chunks of about _CHUNK_KEYS seed-tree keys (at least
 # one trial), hashed _BLOCK_KEYS keys per numpy pass. Both trade speed for
-# transient memory only; neither can change a draw.
-_CHUNK_KEYS = 1 << 10
-_BLOCK_KEYS = 1 << 10
+# transient memory only; neither can change a draw. A 2**12-key block's hash
+# temporaries peak at about 1.2 MiB (0.3 MiB at 2**10) and hash each key in
+# about half the time.
+_CHUNK_KEYS = 1 << 12
+_BLOCK_KEYS = 1 << 12
 
 # Each slice costs about 760 B of peak memory on top of the interpreter
 # (one probe trial at N=2M); 2**16 slices stay below about 85 MiB.
@@ -346,17 +355,36 @@ def find_winner(probe_bits: Sequence[int]) -> WinnerDecision:
     return WinnerDecision(winners=tuple(winners), decision_steps=steps)
 
 
+def count_decision_steps(bits: np.ndarray) -> np.ndarray:
+    """``find_winner(row).decision_steps`` for every row of a (trials, M)
+    bit matrix, M a power of two.
+
+    The scan descends into every internal node of the OR tree whose range
+    holds a set bit, so the count is the number of such nodes: one
+    pairwise OR per tree level, log2(M) levels.
+    """
+    level = np.asarray(bits, dtype=bool)
+    steps = np.zeros(len(level), dtype=np.int64)
+    while level.shape[1] > 1:
+        level = level.reshape(len(level), -1, 2).any(axis=2)
+        steps += level.sum(axis=1)
+    return steps
+
+
 def recover_global(
-    prepared: PreparedSlice, probe_bit: int, rng: np.random.Generator
-) -> int:
+    prepared: PreparedSlice, probe_bit: int | np.ndarray, uniform: float | np.ndarray
+) -> int | np.ndarray:
     """Read the solution index out of a winning slice.
 
     Measures the register conditioned on the probe having read 1 (for a
     singleton solution this is exactly the solution basis state) and maps
     the local index back to the global database through the slice offset.
+    Like ``sample_cdf``, takes one uniform or an array of them (one per
+    trial the slice won, with the matching probe bits) and returns an int
+    or an index array.
     """
     sub = prepared.sub
-    if probe_bit != 1:
+    if np.any(np.asarray(probe_bit) != 1):
         raise ProtocolError(
             f"recovery requires a probe that read 1; sub-system {sub.id} "
             f"read {probe_bit!r}"
@@ -365,151 +393,47 @@ def recover_global(
         raise ProtocolError(
             f"sub-system {sub.id} has no retained probe-conditioned register"
         )
-    return sub.offset + sample_cdf(prepared.fired_cdf, rng.random())
+    return sub.offset + sample_cdf(prepared.fired_cdf, uniform)
 
 
-# What a merge decides in one trial: winning sub-systems, recovered global
-# indices, per-sub-system outcomes, and the merge stage's own cost.
-_Merged = tuple[Sequence[int], Sequence[int], list[SubsystemOutcome], CostLedger]
+def _draws(seed: int, total: int, key_columns) -> np.ndarray:
+    """``first_draws`` of ``total`` seed-tree keys, ``_BLOCK_KEYS`` at a time.
 
-
-def _report(
-    config: ExperimentConfig,
-    winners: Sequence[int],
-    recovered: Sequence[int],
-    outcomes: Sequence[SubsystemOutcome],
-    total: CostLedger,
-) -> RunReport:
-    recovered = tuple(recovered)
-    marked = config.global_marked
-    if marked:
-        correct = bool(recovered) and all(g in marked for g in recovered)
-    else:
-        correct = not recovered
-    return RunReport(
-        strategy=config.strategy,
-        config=config,
-        winners=tuple(winners),
-        recovered=recovered,
-        correct=correct,
-        total_ledger=total,
-        per_subsystem=tuple(outcomes),
-    )
-
-
-def _merge_probe(
-    config: ExperimentConfig,
-    slices: Sequence[PreparedSlice],
-    draws: list[list[int]],
-    trial: int,
-) -> _Merged:
-    """Scan the probe bits, then measure the register of every winner only.
-
-    Measures one qubit per sub-system plus each winning register:
-    M + log2(slice size) qubits on the success path. If every probe reads 0
-    despite a marked item the trial reports nothing and counts as a miss;
-    there is no automatic retry.
+    ``key_columns(flat)`` gives the key columns (scalars broadcast) of the
+    flat key indices ``flat``, so no key matrix larger than one block is
+    ever built.
     """
-    bits = [rounds[0] for rounds in draws]
-    decision = find_winner(bits)
-    recovered = [
-        recover_global(
-            slices[w],
-            bits[w],
-            child_rng(config.seed, _SEED_SLOT[PROBE], trial, w, _STAGE_RECOVER),
-        )
-        for w in decision.winners
-    ]
-    outcomes = [
-        SubsystemOutcome(id=s.sub.id, ledger=s.ledger, probe_bit=bit)
-        for s, bit in zip(slices, bits)
-    ]
-    merge = CostLedger(
-        qubits_measured=len(decision.winners) * slices[0].sub.num_qubits,
-        decision_steps=decision.decision_steps,
-    )
-    return decision.winners, recovered, outcomes, merge
-
-
-def _merge_verify(
-    config: ExperimentConfig,
-    slices: Sequence[PreparedSlice],
-    draws: list[list[int]],
-    trial: int,
-) -> _Merged:
-    """Check every measured candidate with one classical oracle call and
-    keep those that are solutions."""
-    winners, recovered, outcomes = [], [], []
-    for s, (local,) in zip(slices, draws):
-        outcomes.append(
-            SubsystemOutcome(id=s.sub.id, ledger=s.ledger, reported_local_index=local)
-        )
-        if s.sub.offset + local in config.global_marked:
-            winners.append(s.sub.id)
-            recovered.append(s.sub.offset + local)
-    return winners, recovered, outcomes, CostLedger(classical_oracle_calls=len(slices))
-
-
-def _merge_agreed(
-    config: ExperimentConfig,
-    slices: Sequence[PreparedSlice],
-    draws: list[list[int]],
-    trial: int,
-) -> _Merged:
-    """Report every slice whose rounds all measured the same index.
-
-    With several rounds this is the repeat strategy; agreeing candidates
-    from several sub-systems are all reported (multiplicity). With one
-    round on one slice it is the sequential baseline, which reports its
-    single measurement unchecked.
-    """
-    winners, recovered, outcomes = [], [], []
-    for s, rounds in zip(slices, draws):
-        agreed = rounds[0] if all(r == rounds[0] for r in rounds) else None
-        outcomes.append(
-            SubsystemOutcome(id=s.sub.id, ledger=s.ledger, reported_local_index=agreed)
-        )
-        if agreed is not None:
-            winners.append(s.sub.id)
-            recovered.append(s.sub.offset + agreed)
-    return winners, recovered, outcomes, CostLedger()
-
-
-_MERGES = {
-    PROBE: _merge_probe,
-    SEMICLASSICAL_VERIFY: _merge_verify,
-    SEMICLASSICAL_REPEAT: _merge_agreed,
-    SEQUENTIAL: _merge_agreed,
-}
+    uniforms = np.empty(total)
+    for start in range(0, total, _BLOCK_KEYS):
+        flat = np.arange(start, min(start + _BLOCK_KEYS, total), dtype=np.uint64)
+        columns = np.broadcast_arrays(*key_columns(flat))
+        keys = np.empty((len(flat), len(columns)), dtype=np.uint64)
+        for j, column in enumerate(columns):
+            keys[:, j] = column
+        uniforms[start : start + len(flat)] = first_draws(seed, keys)
+    return uniforms
 
 
 def _uniforms(
     seed: int, slot: int, first_trial: int, trials: int, num_slices: int, rounds: int
 ) -> np.ndarray:
     """The first draw of every stream (slot, trial, sub, stage) of ``trials``
-    trials from ``first_trial``, shaped (trials, slices, rounds).
-
-    Keys are derived from their flat index ``_BLOCK_KEYS`` at a time, so no
-    key matrix larger than one block is ever built.
-    """
+    trials from ``first_trial``, shaped (trials, slices, rounds)."""
     per_trial = num_slices * rounds
-    total = trials * per_trial
-    uniforms = np.empty(total)
-    for start in range(0, total, _BLOCK_KEYS):
-        flat = np.arange(start, min(start + _BLOCK_KEYS, total), dtype=np.uint64)
-        keys = np.empty((len(flat), 4), dtype=np.uint64)
-        keys[:, 0] = slot
-        keys[:, 1] = first_trial + flat // per_trial
-        keys[:, 2] = flat // rounds % num_slices
-        keys[:, 3] = flat % rounds
-        uniforms[start : start + len(flat)] = first_draws(seed, keys)
+    uniforms = _draws(
+        seed,
+        trials * per_trial,
+        lambda flat: (
+            slot, first_trial + flat // per_trial, flat // rounds % num_slices, flat % rounds
+        ),
+    )
     return uniforms.reshape(trials, num_slices, rounds)
 
 
 def _draw_chunk(
     config: ExperimentConfig, groups: Iterable, num_slices: int, first_trial: int, trials: int
-) -> list:
-    """Outcome indices [trial][sub][stage] of ``trials`` trials from
+) -> np.ndarray:
+    """Outcome indices (trial, sub, stage) of ``trials`` trials from
     ``first_trial``: each group of slices sharing one prepared distribution
     is sampled for the whole chunk at once."""
     uniforms = _uniforms(
@@ -518,21 +442,92 @@ def _draw_chunk(
     drawn = np.empty(uniforms.shape, dtype=np.intp)
     for cdf, ids in groups:
         drawn[:, ids] = sample_cdf(cdf, uniforms[:, ids])
-    return drawn.tolist()
+    return drawn
 
 
-def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
-    """Stream the configured trials of the configured strategy.
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One chunk of trials after the merge, one row per trial.
 
-    Trials are drawn in chunks of about ``_CHUNK_KEYS`` draws, each the
-    first ``random()`` of its own seed-tree stream as ``first_draws``
-    computes it. The slices are prepared when the first trial is drawn and
-    released with the iterator, so memory does not grow with the number of
-    trials.
+    ``readouts`` is what each slice reported: its probe bit, its measured
+    local index, or the index all its rounds agreed on (-1 when they did
+    not). ``recovered`` holds global indices, meaningful where ``winners``
+    is set. ``merge_qubits`` and ``decision_steps`` are the merge cost a
+    trial's draws decide; every other cost is the same in every trial.
     """
-    slices = prepare(config)
-    base = sum((s.ledger for s in slices), CostLedger())
-    merge = _MERGES[config.strategy]
+
+    readouts: np.ndarray
+    winners: np.ndarray
+    recovered: np.ndarray
+    correct: np.ndarray
+    merge_qubits: np.ndarray
+    decision_steps: np.ndarray
+
+
+def _merge(
+    config: ExperimentConfig, slices: Sequence[PreparedSlice], first_trial: int, drawn: np.ndarray
+) -> _Columns:
+    """Merge a chunk of drawn outcomes (trial, sub, stage) by the strategy.
+
+    - probe: the slices whose probe read 1 win; only their registers are
+      measured (log2(slice size) qubits each), after an OR-tree scan of the
+      bits. If every probe reads 0 despite a marked item the trial reports
+      nothing and counts as a miss; there is no automatic retry.
+    - semiclassical-verify: every measured candidate is checked with one
+      classical oracle call and kept if it is a solution.
+    - repeat and sequential: every slice whose rounds all measured the same
+      index reports it, unchecked; several agreeing slices are all reported
+      (multiplicity). The sequential baseline is one slice and one round.
+    """
+    marked = np.fromiter(config.global_marked, dtype=np.int64)
+    offsets = np.arange(len(slices), dtype=np.int64) * slices[0].sub.size
+    trials = len(drawn)
+    merge_qubits = steps = np.zeros(trials, dtype=np.int64)
+    if config.strategy == PROBE:
+        readouts = drawn[:, :, 0]
+        winners = readouts == 1
+        recovered = np.zeros(readouts.shape, dtype=np.int64)
+        rows, ids = np.nonzero(winners)
+        # Recovery draws: stream (probe slot, trial, sub, 1) of each winner.
+        uniforms = _draws(
+            config.seed,
+            len(rows),
+            lambda flat: (_SEED_SLOT[PROBE], first_trial + rows[flat], ids[flat], _STAGE_RECOVER),
+        )
+        for w in np.unique(ids).tolist():
+            won = ids == w
+            recovered[rows[won], w] = recover_global(
+                slices[w], readouts[rows[won], w], uniforms[won]
+            )
+        merge_qubits = winners.sum(axis=1) * slices[0].sub.num_qubits
+        steps = count_decision_steps(winners)
+    elif config.strategy == SEMICLASSICAL_VERIFY:
+        readouts = drawn[:, :, 0]
+        recovered = offsets + readouts
+        winners = np.isin(recovered, marked)
+    else:
+        agreed = (drawn == drawn[:, :, :1]).all(axis=2)
+        readouts = np.where(agreed, drawn[:, :, 0], -1)
+        recovered = offsets + readouts
+        winners = agreed
+    found = winners.any(axis=1)
+    if marked.size:
+        correct = found & (np.isin(recovered, marked) | ~winners).all(axis=1)
+    else:
+        correct = ~found
+    return _Columns(readouts, winners, recovered, correct, merge_qubits, steps)
+
+
+def _fixed_cost(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> CostLedger:
+    """What every trial costs before the merge reads a draw: each slice's
+    search and measurements, plus verify's one classical call per slice."""
+    classical = len(slices) if config.strategy == SEMICLASSICAL_VERIFY else 0
+    return sum((s.ledger for s in slices), CostLedger(classical_oracle_calls=classical))
+
+
+def _merged_chunks(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> Iterator[_Columns]:
+    """Draw and merge the configured trials in chunks of about
+    ``_CHUNK_KEYS`` draws, so memory does not grow with the trial count."""
     groups: dict[int, tuple[np.ndarray, list[int]]] = {}
     for s in slices:
         groups.setdefault(id(s.cdf), (s.cdf, []))[1].append(s.sub.id)
@@ -540,9 +535,68 @@ def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
     for first in range(0, config.trials, chunk):
         trials = min(chunk, config.trials - first)
         drawn = _draw_chunk(config, groups.values(), len(slices), first, trials)
-        for trial, draws in enumerate(drawn, start=first):
-            winners, recovered, outcomes, cost = merge(config, slices, draws, trial)
-            yield _report(config, winners, recovered, outcomes, base + cost)
+        yield _merge(config, slices, first, drawn)
+
+
+def summarize_trials(config: ExperimentConfig) -> TrialSummary:
+    """Run the configured trials and fold them into a summary.
+
+    Equal to ``summarize(iter_trials(config))``, without building a report
+    per trial: the merged columns are summed chunk by chunk into integer
+    totals.
+    """
+    slices = prepare(config)
+    successes = misses = qubits = steps = 0
+    for columns in _merged_chunks(config, slices):
+        successes += int(columns.correct.sum())
+        if config.global_marked:
+            misses += int((~columns.winners.any(axis=1)).sum())
+        qubits += int(columns.merge_qubits.sum())
+        steps += int(columns.decision_steps.sum())
+    fixed = _fixed_cost(config, slices)
+    totals = {name: value * config.trials for name, value in asdict(fixed).items()}
+    totals["qubits_measured"] += qubits
+    totals["decision_steps"] += steps
+    # Sub-systems run in parallel: the critical path is the deepest slice.
+    depth = max(s.ledger.grover_iterations for s in slices)
+    return fold_summary(config, config.trials, successes, misses, totals, depth * config.trials)
+
+
+def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
+    """Stream the configured trials of the configured strategy.
+
+    Reports are built from the same merged columns ``summarize_trials``
+    folds. The slices are prepared when the first trial is drawn and
+    released with the iterator, so memory does not grow with the number of
+    trials.
+    """
+    slices = prepare(config)
+    fixed = _fixed_cost(config, slices)
+    field = "probe_bit" if config.strategy == PROBE else "reported_local_index"
+    for columns in _merged_chunks(config, slices):
+        rows = zip(
+            columns.readouts.tolist(),
+            columns.winners,
+            columns.recovered,
+            columns.correct.tolist(),
+            columns.merge_qubits.tolist(),
+            columns.decision_steps.tolist(),
+        )
+        for readouts, winners, recovered, correct, qubits, steps in rows:
+            yield RunReport(
+                strategy=config.strategy,
+                config=config,
+                winners=tuple(np.flatnonzero(winners).tolist()),
+                recovered=tuple(recovered[winners].tolist()),
+                correct=correct,
+                total_ledger=fixed + CostLedger(qubits_measured=qubits, decision_steps=steps),
+                per_subsystem=tuple(
+                    SubsystemOutcome(
+                        id=s.sub.id, ledger=s.ledger, **{field: None if r < 0 else r}
+                    )
+                    for s, r in zip(slices, readouts)
+                ),
+            )
 
 
 def run_trials(config: ExperimentConfig) -> list[RunReport]:

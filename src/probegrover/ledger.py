@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import UsageError
 
 if TYPE_CHECKING:
-    from .distributed import RunReport
+    from .distributed import ExperimentConfig, RunReport
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,30 @@ def summarize(reports: Iterable["RunReport"]) -> TrialSummary:
             totals[name] += getattr(report.total_ledger, name)
     if first is None:
         raise UsageError("cannot summarize an empty report list")
+    return fold_summary(first.config, n, successes, misses, totals, depth)
+
+
+def fold_summary(
+    config: "ExperimentConfig",
+    trials: int,
+    successes: int,
+    misses: int,
+    totals: dict[str, int],
+    depth: int,
+) -> TrialSummary:
+    """The summary of ``trials`` trials of ``config`` from integer totals:
+    per-field ledger sums and the summed critical-path depth."""
     return TrialSummary(
-        strategy=first.strategy,
-        db_size=first.config.db_size,
-        num_subsystems=first.config.num_subsystems,
-        marked=first.config.global_marked,
-        trials=n,
+        strategy=config.strategy,
+        db_size=config.db_size,
+        num_subsystems=config.num_subsystems,
+        marked=config.global_marked,
+        trials=trials,
         successes=successes,
         misses=misses,
-        empirical_success_rate=successes / n,
-        mean_ledger={name: total / n for name, total in totals.items()},
-        mean_iteration_depth=depth / n,
+        empirical_success_rate=successes / trials,
+        mean_ledger={name: total / trials for name, total in totals.items()},
+        mean_iteration_depth=depth / trials,
     )
 
 

@@ -17,14 +17,25 @@ from probegrover import StateVector
 _PACKAGE_ROOT = str(Path(probegrover.__file__).resolve().parents[1])
 
 
+def _child_env() -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
     """Run ``python -m probegrover.cli`` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "probegrover.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
+    )
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` in a fresh interpreter that imports this package."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
 
 

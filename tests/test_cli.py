@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from helpers import run_cli
+from helpers import run_cli, run_python
 from probegrover import InvariantError, ProtocolError, UsageError, cli
 from probegrover.cli import emit_report, run_command
 
@@ -183,13 +183,26 @@ class TestIoErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_cli_run_never_imports_numpy_random(tmp_path):
+    # Every draw comes from seeding.first_draws, so a CLI run needs no numpy
+    # Generator; importing numpy.random alone adds several MiB of peak RSS.
+    argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
+    result = run_python(
+        "import sys\n"
+        "from probegrover.cli import run_command\n"
+        f"code = run_command({argv!r})\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    assert result.stdout == "0 False\n", result.stderr
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("error", [InvariantError, ProtocolError, UsageError])
     def test_run_stage_error_exits_3(self, monkeypatch, capsys, error):
-        def fail(reports):
+        def fail(config):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "summarize", fail)
+        monkeypatch.setattr(cli, "summarize_trials", fail)
         code = run_command([*BASE, "--strategy", "probe", "--trials", "2"])
         assert code == 3
         captured = capsys.readouterr()

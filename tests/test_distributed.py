@@ -200,18 +200,23 @@ class TestRecoverGlobal:
     def test_offset_arithmetic(self):
         prepared = prepare(config())[2]
         assert prepared.sub.offset == 8
-        assert recover_global(prepared, 1, np.random.default_rng(0)) == 10
+        assert recover_global(prepared, 1, 0.5) == 10
+        # One call per slice covers every trial it won.
+        uniforms = np.array([0.0, 0.5, 0.999])
+        assert recover_global(prepared, np.ones(3, dtype=int), uniforms).tolist() == [10] * 3
 
     def test_round_trip_over_all_slices_and_indices(self):
         # Four-item slices amplify exactly, so recovery is certain.
         for marked in range(16):
             winner = prepare(config(marked=(marked,)))[marked // 4]
-            assert recover_global(winner, 1, np.random.default_rng(0)) == marked
+            assert recover_global(winner, 1, 0.5) == marked
 
     def test_requires_probe_one(self):
         prepared = prepare(config())[2]
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(prepared, 0, np.random.default_rng(0))
+            recover_global(prepared, 0, 0.5)
+        with pytest.raises(ProtocolError, match="read 1"):
+            recover_global(prepared, np.array([1, 0]), np.array([0.5, 0.5]))
 
     def test_requires_retained_state(self):
         for prepared in (
@@ -219,7 +224,7 @@ class TestRecoverGlobal:
             prepare(config(strategy=SEMICLASSICAL_VERIFY))[2],  # no probe at all
         ):
             with pytest.raises(ProtocolError, match="retained"):
-                recover_global(prepared, 1, np.random.default_rng(0))
+                recover_global(prepared, 1, 0.5)
 
 
 class TestProbeStrategy:

@@ -1,14 +1,17 @@
 """The prepare → sample → merge trial engine against the per-trial dense
-chain it replaces, its ledger identities as closed forms, and the work it
-does once per configuration."""
+chain it replaces, its ledger identities as closed forms, the columnar
+summary against per-trial reports, and the work it does once per
+configuration."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from math import isqrt
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probegrover import (
@@ -29,8 +32,10 @@ from probegrover import (
     measure_register,
     run_grover,
     run_trials,
+    summarize,
 )
 from probegrover import distributed
+from probegrover.distributed import count_decision_steps, summarize_trials
 
 
 def dense_trial(cfg: ExperimentConfig, trial: int):
@@ -94,7 +99,7 @@ def dense_trial(cfg: ExperimentConfig, trial: int):
 
 
 @st.composite
-def configs(draw) -> ExperimentConfig:
+def configs(draw, max_marked: int = 4) -> ExperimentConfig:
     exponent = draw(st.integers(1, 8))
     db_size = 1 << exponent
     strategy = draw(st.sampled_from(ALL_STRATEGIES))
@@ -105,7 +110,7 @@ def configs(draw) -> ExperimentConfig:
     return ExperimentConfig(
         db_size=db_size,
         num_subsystems=1 << draw(st.integers(0, exponent - 1)),
-        global_marked=draw(st.frozensets(st.integers(0, db_size - 1), max_size=4)),
+        global_marked=draw(st.frozensets(st.integers(0, db_size - 1), max_size=max_marked)),
         strategy=strategy,
         seed=draw(st.integers(0, 2**32)),
         trials=draw(st.integers(1, 3)),
@@ -221,3 +226,31 @@ def test_chunk_and_block_sizes_never_change_a_trial(monkeypatch, strategy, block
     monkeypatch.setattr(distributed, "_BLOCK_KEYS", block_keys)
     monkeypatch.setattr(distributed, "_CHUNK_KEYS", chunk_trials * per_trial + 1)
     assert list(iter_trials(cfg)) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs(max_marked=12), st.sampled_from([(3, 5), (1, 1), (7, 40), (4096, 4096)]))
+@example(ExperimentConfig(256, 1, frozenset({3, 100}), PROBE, seed=4, trials=5), (3, 5))
+@example(ExperimentConfig(256, 128, frozenset({0, 1, 7, 255}), PROBE, seed=5, trials=3), (7, 40))
+@example(
+    ExperimentConfig(64, 8, frozenset(range(0, 64, 3)), SEMICLASSICAL_REPEAT, seed=2, trials=9),
+    (1, 1),
+)
+@example(ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_VERIFY, seed=3, trials=4), (3, 5))
+def test_columnar_summary_equals_summarized_reports(cfg, sizes):
+    # The reports come at the default chunk and block sizes, the summary at
+    # the drawn ones: neither the fold nor the chunking may change a total.
+    expected = summarize(iter_trials(cfg))
+    block_keys, chunk_keys = sizes
+    with mock.patch.object(distributed, "_BLOCK_KEYS", block_keys), mock.patch.object(
+        distributed, "_CHUNK_KEYS", chunk_keys
+    ):
+        assert summarize_trials(cfg) == expected
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10), st.integers(1, 5), st.floats(0, 1), st.integers(0, 2**32))
+def test_decision_step_count_equals_find_winner(log_m, rows, density, seed):
+    bits = np.random.default_rng(seed).random((rows, 1 << log_m)) < density
+    expected = [find_winner(row).decision_steps for row in bits.astype(int).tolist()]
+    assert count_decision_steps(bits).tolist() == expected
