@@ -10,8 +10,8 @@ seed, version) or as CSV (one comparison row per strategy). Identical
 arguments always produce byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 internal error (an
-invariant, protocol-order or aggregation failure while running or
-summarizing), 4 output I/O error.
+invariant, protocol-order or aggregation failure, or running out of
+memory, while running or summarizing), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -179,6 +179,10 @@ def run_command(argv: list[str] | None = None) -> int:
         rows = compare_strategies(summaries)
     except (InvariantError, ProtocolError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"internal error: out of memory: {detail}", file=sys.stderr)
         return 3
 
     config = {

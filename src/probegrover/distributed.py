@@ -35,26 +35,20 @@ closed form, and so is every cost the merge does not read off a draw.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .grover import is_power_of_two, run_grover
+from .grover import is_power_of_two, run_grover_pair
 from .ledger import CostLedger, TrialSummary, fold_summary
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
 from .seeding import child_rng, first_draws  # noqa: F401
-from .statevector import (
-    MAX_QUBITS,
-    apply_boolean_oracle,
-    born_cdf,
-    collapse_probe,
-    compose_with_probe,
-    probe_branch_masses,
-    sample_cdf,
-)
+from .statevector import MAX_QUBITS, sample_cdf
 
 PROBE = "probe"
 SEMICLASSICAL_VERIFY = "semiclassical-verify"
@@ -278,27 +272,46 @@ def _rounds(config: ExperimentConfig) -> int:
 def _distributions(
     strategy: str, num_qubits: int, marked: frozenset[int], rounds: int
 ) -> tuple[np.ndarray, np.ndarray | None, CostLedger]:
-    state, stats = run_grover(num_qubits, marked)
+    """The cumulative masses one slice's trials sample, built from its two
+    final Grover amplitudes in one N-item float buffer.
+
+    Each mass array holds the bytes the dense chain gives: the register's
+    ``np.cumsum(np.abs(amps) ** 2)``; for the probe, ``np.sum`` of each
+    branch of the joint state after the boolean oracle (the register with
+    its marked slots swapped out, and only those slots), and the register
+    conditioned on the probe reading 1. The buffer holds each branch's
+    squared magnitudes in the joint state's item order, so every sum takes
+    numpy's own pairwise path over the same values.
+    """
+    pair, indices, stats = run_grover_pair(num_qubits, marked)
     iterations = stats.iterations
+    unmarked, hit = np.abs(pair) ** 2
+    masses = np.full(1 << num_qubits, unmarked)
     if strategy != PROBE:
         ledger = CostLedger(
             qubits_measured=rounds * num_qubits,
             quantum_oracle_calls=rounds * iterations,
             grover_iterations=rounds * iterations,
         )
-        return born_cdf(state), None, ledger
-    composed = apply_boolean_oracle(compose_with_probe(state), marked)
-    masses = probe_branch_masses(composed)
+        masses[indices] = hit
+        return np.cumsum(masses, out=masses), None, ledger
+    masses[indices] = 0.0
+    branches = [float(np.sum(masses))]
+    masses.fill(0.0)
+    masses[indices] = hit
+    branches.append(float(np.sum(masses)))
     fired_cdf = None
-    if masses[1] > 0.0:
-        fired_cdf = born_cdf(collapse_probe(composed, 1, float(masses[1])))
+    if branches[1] > 0.0:
+        # collapse_probe's division, applied to the marked value alone.
+        masses[indices] = np.abs(np.full(len(indices), pair[1]) / math.sqrt(branches[1])) ** 2
+        fired_cdf = np.cumsum(masses, out=masses)
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
         qubits_measured=1,
         quantum_oracle_calls=iterations + 1,
         grover_iterations=iterations,
     )
-    return np.cumsum(masses), fired_cdf, ledger
+    return np.cumsum(branches), fired_cdf, ledger
 
 
 def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:
@@ -520,9 +533,17 @@ def _merge(
 
 def _fixed_cost(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> CostLedger:
     """What every trial costs before the merge reads a draw: each slice's
-    search and measurements, plus verify's one classical call per slice."""
+    search and measurements, plus verify's one classical call per slice.
+
+    Slices that share a preparation share its ledger, so each distinct
+    ledger is summed once, weighted by its slice count.
+    """
     classical = len(slices) if config.strategy == SEMICLASSICAL_VERIFY else 0
-    return sum((s.ledger for s in slices), CostLedger(classical_oracle_calls=classical))
+    totals = Counter({"classical_oracle_calls": classical})
+    for ledger, count in Counter(s.ledger for s in slices).items():
+        for name, value in asdict(ledger).items():
+            totals[name] += value * count
+    return CostLedger(**totals)
 
 
 def _merged_chunks(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> Iterator[_Columns]:

@@ -6,13 +6,13 @@ items, and serves as the analytic cross-check for the simulated loop.
 
 Starting from the uniform state, every oracle+diffusion iteration keeps
 the register two-valued: one amplitude on all marked items and one on the
-rest (Boyer, Brassard, Hoyer and Tapp, 1998). ``run_grover`` therefore
-iterates on the pair ``[unmarked, marked]`` and writes the dense state
-once at the end. It returns the same bytes as the dense loop
-``apply_diffusion(apply_phase_oracle(state, marked))``: the oracle and the
-reflection are the same numpy operations applied to the pair, and the one
-step whose rounding depends on the register size, the mean, is replayed
-exactly (``_TwoValueSum``).
+rest (Boyer, Brassard, Hoyer and Tapp, 1998). ``run_grover_pair``
+therefore iterates on the pair ``[unmarked, marked]``, and ``run_grover``
+writes the dense state from it once at the end. The pair holds the same
+bytes as the dense loop ``apply_diffusion(apply_phase_oracle(state,
+marked))``: the oracle and the reflection are the same numpy operations
+applied to the pair, and the one step whose rounding depends on the
+register size, the mean, is replayed exactly (``_TwoValueSum``).
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ class _TwoValueSum:
         return dirty[0]
 
 
-def run_grover(
+def run_grover_pair(
     num_qubits: int, marked: Iterable[int]
-) -> tuple[StateVector, GroverRunStats]:
-    """Run the full search loop on the uniform state.
+) -> tuple[np.ndarray, np.ndarray, GroverRunStats]:
+    """Run the full search loop on the uniform state, as two amplitudes.
 
     Applies the phase oracle then diffusion for the scheduled number of
     iterations and reports the final probability mass on the marked states.
@@ -130,8 +130,10 @@ def run_grover(
     with the dense loop's own numpy operations: the oracle negates the
     marked value as ``apply_phase_oracle`` does, the reflection is
     ``apply_diffusion``'s ``2.0 * mean - amps``, and ``_TwoValueSum``
-    replays numpy's summation order for the mean. So the returned
-    amplitudes are the dense loop's bytes, at O(log N) work per iteration.
+    replays numpy's summation order for the mean. Returns the final pair,
+    the sorted marked indices and the run's stats: the dense register holds
+    the pair's second value at those indices and its first everywhere else,
+    bit for bit, at O(log N) work per iteration and no O(N) memory.
     """
     _check_num_qubits(num_qubits)
     indices = _marked_indices(marked, num_qubits)
@@ -143,8 +145,20 @@ def run_grover(
         for _ in range(rounds):
             vals[1:] *= -1.0
             vals = 2.0 * (total(*vals) / dim) - vals
-    amps = np.full(dim, vals[0])
+    # The same K-item sum as over the dense register's marked entries.
+    mass = float(np.sum(np.abs(np.full(len(indices), vals[1])) ** 2))
+    return vals, indices, GroverRunStats(iterations=rounds, final_success_probability=mass)
+
+
+def run_grover(
+    num_qubits: int, marked: Iterable[int]
+) -> tuple[StateVector, GroverRunStats]:
+    """Run the full search loop on the uniform state.
+
+    ``run_grover_pair`` written out as the dense register: the same bytes
+    as the dense oracle+diffusion loop.
+    """
+    vals, indices, stats = run_grover_pair(num_qubits, marked)
+    amps = np.full(1 << num_qubits, vals[0])
     amps[indices] = vals[1]
-    mass = float(np.sum(np.abs(amps[indices]) ** 2))
-    stats = GroverRunStats(iterations=rounds, final_success_probability=mass)
     return StateVector(num_qubits, amps), stats

@@ -212,17 +212,6 @@ def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarra
     return index if np.ndim(index) else int(index)
 
 
-def born_cdf(state: StateVector) -> np.ndarray:
-    """Cumulative Born probabilities of a full register measurement, in
-    basis order, summed exactly as ``measure_register`` sums them so that
-    a draw lands on the same outcome."""
-    # Squared and summed in place: one O(N) temporary, and the same bytes
-    # as np.cumsum(np.abs(amplitudes) ** 2).
-    masses = np.abs(state.amplitudes)
-    np.multiply(masses, masses, out=masses)
-    return np.cumsum(masses, out=masses)
-
-
 def probe_branch_masses(composed: ComposedState) -> np.ndarray:
     """Born masses of the probe reading 0 and reading 1."""
     joint = composed.amplitudes

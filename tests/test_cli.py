@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from helpers import run_cli, run_python
-from probegrover import InvariantError, ProtocolError, UsageError, cli
+from probegrover import InvariantError, ProtocolError, UsageError, cli, distributed
 from probegrover.cli import emit_report, run_command
 
 BASE = ["--db-size", "16", "--subsystems", "4", "--marked", "10", "--seed", "7"]
@@ -207,6 +207,26 @@ class TestInternalErrors:
         assert code == 3
         captured = capsys.readouterr()
         assert captured.err == "internal error: boom\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "message, detail",
+        [
+            ("Unable to allocate 128. MiB", "Unable to allocate 128. MiB"),
+            ("", "allocation failed"),
+        ],
+    )
+    def test_out_of_memory_exits_3_without_traceback(self, monkeypatch, capsys, message, detail):
+        # The mass builder raises as a failed allocation would, so the test
+        # allocates nothing large.
+        def fail(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(distributed, "_distributions", fail)
+        code = run_command([*BASE, "--strategy", "all", "--trials", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"internal error: out of memory: {detail}\n"
         assert captured.out == ""
 
 

@@ -36,6 +36,7 @@ from probegrover import (
 )
 from probegrover import distributed
 from probegrover.distributed import count_decision_steps, summarize_trials
+from probegrover.grover import run_grover_pair
 
 
 def dense_trial(cfg: ExperimentConfig, trial: int):
@@ -200,11 +201,11 @@ def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
     # the four slices have two distinct (size, local marked) keys.
     calls = []
 
-    def counting_run_grover(num_qubits, marked):
+    def counting_run_grover_pair(num_qubits, marked):
         calls.append((num_qubits, frozenset(marked)))
-        return run_grover(num_qubits, marked)
+        return run_grover_pair(num_qubits, marked)
 
-    monkeypatch.setattr(distributed, "run_grover", counting_run_grover)
+    monkeypatch.setattr(distributed, "run_grover_pair", counting_run_grover_pair)
     for trials in (1, 40):
         calls.clear()
         cfg = ExperimentConfig(64, 4, frozenset({37, 5}), strategy, seed=1, trials=trials)
@@ -254,3 +255,21 @@ def test_decision_step_count_equals_find_winner(log_m, rows, density, seed):
     bits = np.random.default_rng(seed).random((rows, 1 << log_m)) < density
     expected = [find_winner(row).decision_steps for row in bits.astype(int).tolist()]
     assert count_decision_steps(bits).tolist() == expected
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize(
+    "db_size, num_subsystems, marked",
+    [
+        (64, 4, {37, 5}),
+        (4096, 64, {3, 17, 40, 322, 370, 2119, 4095}),
+        (1 << 17, 1 << 16, {0, 5, 131071}),
+    ],
+    ids=["n64-m4", "n4096-m64", "n2^17-m2^16"],
+)
+def test_fixed_cost_equals_the_sum_of_slice_ledgers(strategy, db_size, num_subsystems, marked):
+    cfg = ExperimentConfig(db_size, num_subsystems, frozenset(marked), strategy, seed=1)
+    slices = distributed.prepare(cfg)
+    classical = len(slices) if strategy == SEMICLASSICAL_VERIFY else 0
+    expected = sum((s.ledger for s in slices), CostLedger(classical_oracle_calls=classical))
+    assert distributed._fixed_cost(cfg, slices) == expected

@@ -1,9 +1,11 @@
 """What ``prepare`` keeps per distinct slice: pinned bytes at the size the
-benchmark runs, and every mass equal to the dense chain's bit for bit."""
+benchmark runs, every mass equal to the dense chain's bit for bit, and no
+more memory than the masses it keeps."""
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,3 +108,22 @@ def test_prepared_masses_match_dense_chain_bit_for_bit(num_qubits):
             expected_cdf, expected_fired = dense_masses(strategy, num_qubits, marked)
             assert bits(cdf) == bits(expected_cdf), (strategy, count)
             assert bits(fired) == bits(expected_fired), (strategy, count)
+
+
+@pytest.mark.parametrize(
+    "strategy, num_subsystems", [(PROBE, 1), (PROBE, 4), (SEQUENTIAL, 4)]
+)
+def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
+    strategy, num_subsystems
+):
+    # At N=2^20 a complex register alone is 16 MiB and the probe's joint
+    # state 32 MiB: the bound admits neither, only the kept float masses.
+    cfg = ExperimentConfig(1 << 20, num_subsystems, frozenset({12345}), strategy, seed=1)
+    tracemalloc.start()
+    try:
+        slices = prepare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    distinct = len({id(s.cdf) for s in slices})
+    assert peak <= 8 * slices[0].sub.size * distinct + (1 << 20)
