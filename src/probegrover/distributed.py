@@ -20,14 +20,19 @@ configuration seed through a fixed splitting scheme, so reports are
 reproducible and independent of sub-system scheduling.
 
 Every strategy runs as one pipeline. ``prepare`` runs the Grover search
-once per distinct (slice size, local marked set) and keeps only the
-cumulative outcome masses a measurement samples from. Trials are then
-drawn a chunk at a time: every draw is the first value of its own
-seed-tree stream, computed in blocks by ``first_draws``, and each shared
-distribution is sampled for the whole chunk at once. The merge works on
-the chunk's (trials, slices, rounds) outcome array as a whole, giving one
-column per quantity (winners, recovered indices, correctness, merge cost);
-``summarize_trials`` folds those columns into integer totals, and
+once per distinct (slice size, local marked set) on the register's two
+distinct amplitudes (``run_grover_pair``) and keeps only the cumulative
+outcome masses a measurement samples from. It builds them in float
+buffers straight from the two amplitudes, with the numpy operations a
+measurement of the dense state uses, so no complex register or joint
+probe state is ever built and a distinct slice of N items costs 8·N
+bytes. Trials are then drawn a chunk at a time: every draw is the first
+value of its own seed-tree stream, computed in blocks by ``first_draws``,
+and each shared distribution is sampled for the whole chunk at once. The
+merge works on the chunk's (trials, slices, rounds) outcome array as a
+whole, giving one column per quantity (winners, recovered indices,
+correctness, merge cost); ``summarize_trials`` folds those columns into
+integer totals, and
 ``iter_trials`` builds per-trial reports from the same columns. Only the
 draws differ between trials: the pre-measurement state is fixed by the
 closed form, and so is every cost the merge does not read off a draw.
@@ -303,7 +308,7 @@ def _distributions(
     fired_cdf = None
     if branches[1] > 0.0:
         # collapse_probe's division, applied to the marked value alone.
-        masses[indices] = np.abs(np.full(len(indices), pair[1]) / math.sqrt(branches[1])) ** 2
+        masses[indices] = np.abs(pair[1:] / math.sqrt(branches[1])) ** 2
         fired_cdf = np.cumsum(masses, out=masses)
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
@@ -320,8 +325,7 @@ def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:
     A slice's pre-measurement state depends only on its size and local
     marked set, so slices that agree on both (every slice without a
     solution, for one) share one preparation. The sequential baseline is a
-    single slice holding the whole database. No complex state outlives
-    this call.
+    single slice holding the whole database. No complex state is built.
     """
     num_subsystems = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
     shared: dict[frozenset[int], tuple] = {}

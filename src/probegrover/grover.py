@@ -146,7 +146,7 @@ def run_grover_pair(
             vals[1:] *= -1.0
             vals = 2.0 * (total(*vals) / dim) - vals
     # The same K-item sum as over the dense register's marked entries.
-    mass = float(np.sum(np.abs(np.full(len(indices), vals[1])) ** 2))
+    mass = float(np.sum(np.full(len(indices), (np.abs(vals) ** 2)[1])))
     return vals, indices, GroverRunStats(iterations=rounds, final_success_probability=mass)
 
 
