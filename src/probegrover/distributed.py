@@ -32,10 +32,10 @@ and each shared distribution is sampled for the whole chunk at once. The
 merge works on the chunk's (trials, slices, rounds) outcome array as a
 whole, giving one column per quantity (winners, recovered indices,
 correctness, merge cost); ``summarize_trials`` folds those columns into
-integer totals, and
-``iter_trials`` builds per-trial reports from the same columns. Only the
-draws differ between trials: the pre-measurement state is fixed by the
-closed form, and so is every cost the merge does not read off a draw.
+integer totals, and ``iter_trials`` builds per-trial reports from the
+same columns. Only the draws differ between trials: the pre-measurement
+state is fixed by the closed form, and so is every cost the merge does
+not read off a draw.
 """
 
 from __future__ import annotations
@@ -301,14 +301,14 @@ def _distributions(
         masses[indices] = hit
         return np.cumsum(masses, out=masses), None, ledger
     masses[indices] = 0.0
-    branches = [float(np.sum(masses))]
+    unfired = float(np.sum(masses))
     masses.fill(0.0)
     masses[indices] = hit
-    branches.append(float(np.sum(masses)))
+    fired = float(np.sum(masses))
     fired_cdf = None
-    if branches[1] > 0.0:
+    if fired > 0.0:
         # collapse_probe's division, applied to the marked value alone.
-        masses[indices] = np.abs(pair[1:] / math.sqrt(branches[1])) ** 2
+        masses[indices] = np.abs(pair[1:] / math.sqrt(fired)) ** 2
         fired_cdf = np.cumsum(masses, out=masses)
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
@@ -316,7 +316,7 @@ def _distributions(
         quantum_oracle_calls=iterations + 1,
         grover_iterations=iterations,
     )
-    return np.cumsum(branches), fired_cdf, ledger
+    return np.cumsum([unfired, fired]), fired_cdf, ledger
 
 
 def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:

@@ -133,7 +133,7 @@ def run_grover_pair(
     replays numpy's summation order for the mean. Returns the final pair,
     the sorted marked indices and the run's stats: the dense register holds
     the pair's second value at those indices and its first everywhere else,
-    bit for bit, at O(log N) work per iteration and no O(N) memory.
+    bit for bit, at O(log N) work per iteration and without building it.
     """
     _check_num_qubits(num_qubits)
     indices = _marked_indices(marked, num_qubits)
