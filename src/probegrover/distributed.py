@@ -20,29 +20,29 @@ configuration seed through a fixed splitting scheme, so reports are
 reproducible and independent of sub-system scheduling.
 
 Every strategy runs as one pipeline. ``prepare`` runs the Grover search
-once per distinct (slice size, local marked set) on the register's two
-distinct amplitudes (``run_grover_pair``) and keeps only the cumulative
-outcome masses a measurement samples from. It builds them in float
-buffers straight from the two amplitudes, with the numpy operations a
-measurement of the dense state uses, so no complex register or joint
-probe state is ever built and a distinct slice of N items costs 8·N
-bytes. Trials are then drawn a chunk at a time: every draw is the first
-value of its own seed-tree stream, computed in blocks by ``first_draws``,
-and each shared distribution is sampled for the whole chunk at once. The
-merge works on the chunk's (trials, slices, rounds) outcome array as a
-whole, giving one column per quantity (winners, recovered indices,
-correctness, merge cost); ``summarize_trials`` folds those columns into
-integer totals, and ``iter_trials`` builds per-trial reports from the
-same columns. Only the draws differ between trials: the pre-measurement
-state is fixed by the closed form, and so is every cost the merge does
-not read off a draw.
+once per distinct local marked set on the register's two distinct
+amplitudes (``run_grover_pair``), keeps only the cumulative outcome
+masses a measurement samples from, and maps each slice to its
+preparation with an index array, so no per-slice object is built. It
+builds the masses in float buffers straight from the two amplitudes,
+with the numpy operations a measurement of the dense state uses, so no
+complex register or joint probe state is ever built and a distinct slice
+of N items costs 8·N bytes. Trials are then drawn a chunk at a time:
+every draw is the first value of its own seed-tree stream, computed in
+blocks by ``first_draws``, and each distinct distribution is sampled for
+all its slices and the whole chunk at once. The merge works on the
+chunk's (trials, slices, rounds) outcome array as a whole, giving one
+column per quantity (winners, recovered indices, correctness, merge
+cost); ``summarize_trials`` folds those columns into integer totals, and
+``iter_trials`` builds per-trial reports from the same columns. Only the
+draws differ between trials: the pre-measurement state is fixed by the
+closed form, and so is every cost the merge does not read off a draw.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,8 +75,8 @@ _STAGE_RECOVER = 1
 _CHUNK_KEYS = 1 << 12
 _BLOCK_KEYS = 1 << 12
 
-# Each slice costs about 760 B of peak memory on top of the interpreter
-# (one probe trial at N=2M); 2**16 slices stay below about 85 MiB.
+# Each slice costs about 85 B of peak memory, mostly one trial's draw arrays:
+# one probe trial at N=2**17 and 2**16 slices peaks at 33.6 MiB (import: 28.4).
 MAX_SUBSYSTEMS = 1 << 16
 
 
@@ -253,7 +253,7 @@ def partition(
 
 @dataclass(frozen=True, eq=False)
 class PreparedSlice:
-    """What one slice's trials draw from, built once per configuration.
+    """What one distinct slice's trials draw from, built once per configuration.
 
     ``cdf`` holds the cumulative masses the operate stage samples: the
     probe's two branches for the probe strategy, the register's Born
@@ -264,7 +264,6 @@ class PreparedSlice:
     every draw lands on the same outcome.
     """
 
-    sub: SubsystemDescriptor
     cdf: np.ndarray
     fired_cdf: np.ndarray | None
     ledger: CostLedger
@@ -319,24 +318,34 @@ def _distributions(
     return np.cumsum([unfired, fired]), fired_cdf, ledger
 
 
-def prepare(config: ExperimentConfig) -> tuple[PreparedSlice, ...]:
-    """Search every slice once and keep only what its trials sample from.
+def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
+    """Search once per distinct slice and keep only what its trials sample from.
 
-    A slice's pre-measurement state depends only on its size and local
-    marked set, so slices that agree on both (every slice without a
-    solution, for one) share one preparation. The sequential baseline is a
+    Returns the distinct preparations and an index array giving each
+    slice's preparation. A slice's pre-measurement state depends only on
+    its size and local marked set, so slices that agree on it share one
+    preparation: first those of the slices holding solutions, in order of
+    their first slice, then the one every slice without a solution shares,
+    built only when such a slice exists. The sequential baseline is a
     single slice holding the whole database. No complex state is built.
     """
-    num_subsystems = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
-    shared: dict[frozenset[int], tuple] = {}
-    slices = []
-    for sub in partition(config.db_size, num_subsystems, config.global_marked):
-        if sub.local_marked not in shared:
-            shared[sub.local_marked] = _distributions(
-                config.strategy, sub.num_qubits, sub.local_marked, _rounds(config)
-            )
-        slices.append(PreparedSlice(sub, *shared[sub.local_marked]))
-    return tuple(slices)
+    num_slices = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
+    size = config.db_size // num_slices
+    marked = np.sort(np.fromiter(config.global_marked, np.int64, len(config.global_marked)))
+    ids, starts = np.unique(marked // size, return_index=True)
+    # The local sets of the slices in ``ids``; np.split of no items gives one piece.
+    local =[frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
+    distinct = {s: n for n, s in enumerate(dict.fromkeys(local))}
+    which = np.full(num_slices, len(distinct), dtype=np.intp)
+    which[ids] = [distinct[s] for s in local]
+    if len(ids) < num_slices:
+        distinct[frozenset()] = len(distinct)
+    qubits = size.bit_length() - 1
+    preparations = [
+        PreparedSlice(*_distributions(config.strategy, qubits, s, _rounds(config)))
+        for s in distinct
+    ]
+    return preparations, which
 
 
 def find_winner(probe_bits: Sequence[int]) -> WinnerDecision:
@@ -389,28 +398,27 @@ def count_decision_steps(bits: np.ndarray) -> np.ndarray:
 
 
 def recover_global(
-    prepared: PreparedSlice, probe_bit: int | np.ndarray, uniform: float | np.ndarray
+    prepared: PreparedSlice, sub_id: int, probe_bit: int | np.ndarray, uniform: float | np.ndarray
 ) -> int | np.ndarray:
-    """Read the solution index out of a winning slice.
+    """Read the solution index out of winning slice ``sub_id``, prepared as ``prepared``.
 
     Measures the register conditioned on the probe having read 1 (for a
     singleton solution this is exactly the solution basis state) and maps
-    the local index back to the global database through the slice offset.
-    Like ``sample_cdf``, takes one uniform or an array of them (one per
-    trial the slice won, with the matching probe bits) and returns an int
-    or an index array.
+    the local index back to the global database through the slice offset,
+    ``sub_id`` times the slice size. Like ``sample_cdf``, takes one uniform
+    or an array of them (one per trial the slice won, with the matching
+    probe bits) and returns an int or an index array.
     """
-    sub = prepared.sub
     if np.any(np.asarray(probe_bit) != 1):
         raise ProtocolError(
-            f"recovery requires a probe that read 1; sub-system {sub.id} "
+            f"recovery requires a probe that read 1; sub-system {sub_id} "
             f"read {probe_bit!r}"
         )
     if prepared.fired_cdf is None:
         raise ProtocolError(
-            f"sub-system {sub.id} has no retained probe-conditioned register"
+            f"sub-system {sub_id} has no retained probe-conditioned register"
         )
-    return sub.offset + sample_cdf(prepared.fired_cdf, uniform)
+    return sub_id * len(prepared.fired_cdf) + sample_cdf(prepared.fired_cdf, uniform)
 
 
 def _draws(seed: int, total: int, key_columns) -> np.ndarray:
@@ -447,21 +455,6 @@ def _uniforms(
     return uniforms.reshape(trials, num_slices, rounds)
 
 
-def _draw_chunk(
-    config: ExperimentConfig, groups: Iterable, num_slices: int, first_trial: int, trials: int
-) -> np.ndarray:
-    """Outcome indices (trial, sub, stage) of ``trials`` trials from
-    ``first_trial``: each group of slices sharing one prepared distribution
-    is sampled for the whole chunk at once."""
-    uniforms = _uniforms(
-        config.seed, _SEED_SLOT[config.strategy], first_trial, trials, num_slices, _rounds(config)
-    )
-    drawn = np.empty(uniforms.shape, dtype=np.intp)
-    for cdf, ids in groups:
-        drawn[:, ids] = sample_cdf(cdf, uniforms[:, ids])
-    return drawn
-
-
 @dataclass(frozen=True, eq=False)
 class _Columns:
     """One chunk of trials after the merge, one row per trial.
@@ -482,7 +475,7 @@ class _Columns:
 
 
 def _merge(
-    config: ExperimentConfig, slices: Sequence[PreparedSlice], first_trial: int, drawn: np.ndarray
+    config: ExperimentConfig, prepared: list, which: np.ndarray, first_trial: int, drawn: np.ndarray
 ) -> _Columns:
     """Merge a chunk of drawn outcomes (trial, sub, stage) by the strategy.
 
@@ -497,7 +490,8 @@ def _merge(
       (multiplicity). The sequential baseline is one slice and one round.
     """
     marked = np.fromiter(config.global_marked, dtype=np.int64)
-    offsets = np.arange(len(slices), dtype=np.int64) * slices[0].sub.size
+    size = config.db_size // len(which)
+    offsets = np.arange(len(which), dtype=np.int64) * size
     trials = len(drawn)
     merge_qubits = steps = np.zeros(trials, dtype=np.int64)
     if config.strategy == PROBE:
@@ -514,9 +508,9 @@ def _merge(
         for w in np.unique(ids).tolist():
             won = ids == w
             recovered[rows[won], w] = recover_global(
-                slices[w], readouts[rows[won], w], uniforms[won]
+                prepared[which[w]], w, readouts[rows[won], w], uniforms[won]
             )
-        merge_qubits = winners.sum(axis=1) * slices[0].sub.num_qubits
+        merge_qubits = winners.sum(axis=1) * (size.bit_length() - 1)
         steps = count_decision_steps(winners)
     elif config.strategy == SEMICLASSICAL_VERIFY:
         readouts = drawn[:, :, 0]
@@ -535,32 +529,35 @@ def _merge(
     return _Columns(readouts, winners, recovered, correct, merge_qubits, steps)
 
 
-def _fixed_cost(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> CostLedger:
+def _fixed_cost(config: ExperimentConfig, prepared: list, which: np.ndarray) -> CostLedger:
     """What every trial costs before the merge reads a draw: each slice's
     search and measurements, plus verify's one classical call per slice.
 
     Slices that share a preparation share its ledger, so each distinct
     ledger is summed once, weighted by its slice count.
     """
-    classical = len(slices) if config.strategy == SEMICLASSICAL_VERIFY else 0
-    totals = Counter({"classical_oracle_calls": classical})
-    for ledger, count in Counter(s.ledger for s in slices).items():
-        for name, value in asdict(ledger).items():
-            totals[name] += value * count
-    return CostLedger(**totals)
+    classical = len(which) if config.strategy == SEMICLASSICAL_VERIFY else 0
+    totals = np.array([astuple(p.ledger) for p in prepared]).T @ np.bincount(which)
+    return CostLedger(*totals.tolist()) + CostLedger(classical_oracle_calls=classical)
 
 
-def _merged_chunks(config: ExperimentConfig, slices: Sequence[PreparedSlice]) -> Iterator[_Columns]:
+def _merged_chunks(
+    config: ExperimentConfig, prepared: list, which: np.ndarray
+) -> Iterator[_Columns]:
     """Draw and merge the configured trials in chunks of about
-    ``_CHUNK_KEYS`` draws, so memory does not grow with the trial count."""
-    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for s in slices:
-        groups.setdefault(id(s.cdf), (s.cdf, []))[1].append(s.sub.id)
-    chunk = max(1, _CHUNK_KEYS // (len(slices) * _rounds(config)))
+    ``_CHUNK_KEYS`` draws, so memory does not grow with the trial count.
+    Each preparation is sampled for all its slices and the chunk at once."""
+    # The slice ids of each preparation, in one sort whatever their number.
+    ids = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+    slot, rounds = _SEED_SLOT[config.strategy], _rounds(config)
+    chunk = max(1, _CHUNK_KEYS // (len(which) * rounds))
     for first in range(0, config.trials, chunk):
         trials = min(chunk, config.trials - first)
-        drawn = _draw_chunk(config, groups.values(), len(slices), first, trials)
-        yield _merge(config, slices, first, drawn)
+        uniforms = _uniforms(config.seed, slot, first, trials, len(which), rounds)
+        drawn = np.empty(uniforms.shape, dtype=np.intp)
+        for p, i in zip(prepared, ids):
+            drawn[:, i] = sample_cdf(p.cdf, uniforms[:, i])
+        yield _merge(config, prepared, which, first, drawn)
 
 
 def summarize_trials(config: ExperimentConfig) -> TrialSummary:
@@ -570,20 +567,20 @@ def summarize_trials(config: ExperimentConfig) -> TrialSummary:
     per trial: the merged columns are summed chunk by chunk into integer
     totals.
     """
-    slices = prepare(config)
+    prepared, which = prepare(config)
     successes = misses = qubits = steps = 0
-    for columns in _merged_chunks(config, slices):
+    for columns in _merged_chunks(config, prepared, which):
         successes += int(columns.correct.sum())
         if config.global_marked:
             misses += int((~columns.winners.any(axis=1)).sum())
         qubits += int(columns.merge_qubits.sum())
         steps += int(columns.decision_steps.sum())
-    fixed = _fixed_cost(config, slices)
+    fixed = _fixed_cost(config, prepared, which)
     totals = {name: value * config.trials for name, value in asdict(fixed).items()}
     totals["qubits_measured"] += qubits
     totals["decision_steps"] += steps
     # Sub-systems run in parallel: the critical path is the deepest slice.
-    depth = max(s.ledger.grover_iterations for s in slices)
+    depth = max(p.ledger.grover_iterations for p in prepared)
     return fold_summary(config, config.trials, successes, misses, totals, depth * config.trials)
 
 
@@ -595,10 +592,11 @@ def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
     released with the iterator, so memory does not grow with the number of
     trials.
     """
-    slices = prepare(config)
-    fixed = _fixed_cost(config, slices)
+    prepared, which = prepare(config)
+    fixed = _fixed_cost(config, prepared, which)
+    ledgers = [prepared[n].ledger for n in which.tolist()]
     field = "probe_bit" if config.strategy == PROBE else "reported_local_index"
-    for columns in _merged_chunks(config, slices):
+    for columns in _merged_chunks(config, prepared, which):
         rows = zip(
             columns.readouts.tolist(),
             columns.winners,
@@ -616,10 +614,8 @@ def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
                 correct=correct,
                 total_ledger=fixed + CostLedger(qubits_measured=qubits, decision_steps=steps),
                 per_subsystem=tuple(
-                    SubsystemOutcome(
-                        id=s.sub.id, ledger=s.ledger, **{field: None if r < 0 else r}
-                    )
-                    for s, r in zip(slices, readouts)
+                    SubsystemOutcome(id=i, ledger=ledger, **{field: None if r < 0 else r})
+                    for i, (ledger, r) in enumerate(zip(ledgers, readouts))
                 ),
             )
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import probegrover
 from probegrover import StateVector
@@ -52,6 +53,18 @@ def random_marked(rng: np.random.Generator, num_qubits: int) -> frozenset[int]:
     dim = 1 << num_qubits
     count = int(rng.integers(0, dim // 2 + 1))
     return frozenset(int(i) for i in rng.choice(dim, size=count, replace=False))
+
+
+@st.composite
+def partitions(draw) -> tuple[int, int, frozenset[int]]:
+    """A (db_size, num_subsystems, marked) triple ``partition`` accepts."""
+    exponent = draw(st.integers(1, 10))
+    db_size = 1 << exponent
+    num_subsystems = 1 << draw(st.integers(0, exponent - 1))
+    # Any count up to N, so sets larger than M and crowded slices are common.
+    count = draw(st.integers(0, db_size))
+    marked = frozenset(draw(st.randoms(use_true_random=False)).sample(range(db_size), count))
+    return db_size, num_subsystems, marked
 
 
 class FixedDraw:

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from probegrover import (
     ConfigurationError,
@@ -32,6 +31,8 @@ from probegrover import (
 from probegrover.distributed import prepare, recover_global
 from probegrover.statevector import sample_cdf
 
+from helpers import partitions
+
 
 def config(
     db_size=16, num_subsystems=4, marked=(10,), strategy=PROBE, seed=7, **kwargs
@@ -48,6 +49,12 @@ def config(
 
 def first_trial(cfg: ExperimentConfig):
     return next(iter_trials(cfg))
+
+
+def prepared_slice(cfg: ExperimentConfig, sub_id: int):
+    """The preparation slice ``sub_id`` of ``cfg`` draws from."""
+    preparations, which = prepare(cfg)
+    return preparations[which[sub_id]]
 
 
 class TestPartition:
@@ -103,17 +110,6 @@ class TestLocalizeMarked:
         assert partition(16, 4, {4, 7})[1].local_marked == {0, 3}
 
 
-@st.composite
-def partitions(draw) -> tuple[int, int, frozenset[int]]:
-    exponent = draw(st.integers(1, 10))
-    db_size = 1 << exponent
-    num_subsystems = 1 << draw(st.integers(0, exponent - 1))
-    # Any count up to N, so sets larger than M and crowded slices are common.
-    count = draw(st.integers(0, db_size))
-    marked = frozenset(draw(st.randoms(use_true_random=False)).sample(range(db_size), count))
-    return db_size, num_subsystems, marked
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(partitions())
 def test_partition_buckets_match_brute_force_filter(args):
@@ -133,7 +129,7 @@ class TestRunSubsystemProbe:
     """One slice's probe readout: prepared once, then sampled per trial."""
 
     def test_no_solution_reads_zero_with_certainty(self):
-        prepared = prepare(config())[0]
+        prepared = prepared_slice(config(), 0)
         assert prepared.fired_cdf is None
         assert prepared.cdf[1] == prepared.cdf[0]  # no mass on the probe reading 1
         assert prepared.ledger == CostLedger(
@@ -143,21 +139,21 @@ class TestRunSubsystemProbe:
         assert [o.probe_bit for o in report.per_subsystem if o.id != 2] == [0, 0, 0]
 
     def test_certain_detection_at_four_items(self):
-        prepared = prepare(config(marked=(11,)))[2]
+        prepared = prepared_slice(config(marked=(11,)), 2)
         assert sample_cdf(prepared.cdf, np.random.default_rng(0).random()) == 1
         register = np.diff(prepared.fired_cdf, prepend=0.0)
         np.testing.assert_allclose(register, [0, 0, 0, 1], atol=1e-12)
         assert prepared.ledger.quantum_oracle_calls == 2
 
     def test_detection_rate_matches_closed_form(self):
-        (prepared,) = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
+        (prepared,), _ = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
         trials = 10_000
         hits = sum(sample_cdf(prepared.cdf, child_rng(99, t).random()) for t in range(trials))
         expected = success_probability(256, 1, 12)
         assert abs(hits / trials - expected) < 0.01
 
     def test_ledger_counts_one_boolean_oracle_on_top_of_iterations(self):
-        (prepared,) = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
+        (prepared,), _ = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
         assert prepared.ledger.quantum_oracle_calls == iteration_count(256, 1) + 1
         assert prepared.ledger.qubits_measured == 1
 
@@ -198,33 +194,32 @@ class TestFindWinner:
 
 class TestRecoverGlobal:
     def test_offset_arithmetic(self):
-        prepared = prepare(config())[2]
-        assert prepared.sub.offset == 8
-        assert recover_global(prepared, 1, 0.5) == 10
+        prepared = prepared_slice(config(), 2)
+        assert recover_global(prepared, 2, 1, 0.5) == 10
         # One call per slice covers every trial it won.
         uniforms = np.array([0.0, 0.5, 0.999])
-        assert recover_global(prepared, np.ones(3, dtype=int), uniforms).tolist() == [10] * 3
+        assert recover_global(prepared, 2, np.ones(3, dtype=int), uniforms).tolist() == [10] * 3
 
     def test_round_trip_over_all_slices_and_indices(self):
         # Four-item slices amplify exactly, so recovery is certain.
         for marked in range(16):
-            winner = prepare(config(marked=(marked,)))[marked // 4]
-            assert recover_global(winner, 1, 0.5) == marked
+            winner = prepared_slice(config(marked=(marked,)), marked // 4)
+            assert recover_global(winner, marked // 4, 1, 0.5) == marked
 
     def test_requires_probe_one(self):
-        prepared = prepare(config())[2]
+        prepared = prepared_slice(config(), 2)
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(prepared, 0, 0.5)
+            recover_global(prepared, 2, 0, 0.5)
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(prepared, np.array([1, 0]), np.array([0.5, 0.5]))
+            recover_global(prepared, 2, np.array([1, 0]), np.array([0.5, 0.5]))
 
     def test_requires_retained_state(self):
-        for prepared in (
-            prepare(config())[0],  # no solution: the probe cannot fire
-            prepare(config(strategy=SEMICLASSICAL_VERIFY))[2],  # no probe at all
+        for sub_id, prepared in (
+            (0, prepared_slice(config(), 0)),  # no solution: the probe cannot fire
+            (2, prepared_slice(config(strategy=SEMICLASSICAL_VERIFY), 2)),  # no probe at all
         ):
             with pytest.raises(ProtocolError, match="retained"):
-                recover_global(prepared, 1, 0.5)
+                recover_global(prepared, sub_id, 1, 0.5)
 
 
 class TestProbeStrategy:

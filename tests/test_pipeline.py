@@ -30,6 +30,7 @@ from probegrover import (
     iteration_count,
     measure_probe,
     measure_register,
+    partition,
     run_grover,
     run_trials,
     summarize,
@@ -268,8 +269,18 @@ def test_decision_step_count_equals_find_winner(log_m, rows, density, seed):
     ids=["n64-m4", "n4096-m64", "n2^17-m2^16"],
 )
 def test_fixed_cost_equals_the_sum_of_slice_ledgers(strategy, db_size, num_subsystems, marked):
+    # The reference builds every slice's ledger from ``partition``, not from
+    # ``prepare``'s slice map; equal local sets reuse one search.
     cfg = ExperimentConfig(db_size, num_subsystems, frozenset(marked), strategy, seed=1)
-    slices = distributed.prepare(cfg)
-    classical = len(slices) if strategy == SEMICLASSICAL_VERIFY else 0
-    expected = sum((s.ledger for s in slices), CostLedger(classical_oracle_calls=classical))
-    assert distributed._fixed_cost(cfg, slices) == expected
+    subs = partition(db_size, 1 if strategy == SEQUENTIAL else num_subsystems, marked)
+    ledgers = {}
+    for sub in subs:
+        if sub.local_marked not in ledgers:
+            ledgers[sub.local_marked] = distributed._distributions(
+                strategy, sub.num_qubits, sub.local_marked, distributed._rounds(cfg)
+            )[2]
+    classical = len(subs) if strategy == SEMICLASSICAL_VERIFY else 0
+    expected = sum(
+        (ledgers[sub.local_marked] for sub in subs), CostLedger(classical_oracle_calls=classical)
+    )
+    assert distributed._fixed_cost(cfg, *distributed.prepare(cfg)) == expected

@@ -1,6 +1,7 @@
 """What ``prepare`` keeps per distinct slice: pinned bytes at the size the
-benchmark runs, every mass equal to the dense chain's bit for bit, and no
-more memory than the masses it keeps."""
+benchmark runs, every mass equal to the dense chain's bit for bit, one
+preparation per distinct local marked set that ``partition`` hands out, and
+no more memory than the masses it keeps."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probegrover import (
     ALL_STRATEGIES,
@@ -18,19 +21,22 @@ from probegrover import (
     SEQUENTIAL,
     apply_boolean_oracle,
     compose_with_probe,
+    partition,
     run_grover,
 )
 from probegrover import distributed
 from probegrover.distributed import prepare
 from probegrover.statevector import collapse_probe, probe_branch_masses
 
+from helpers import partitions
+
 
 def digest(values: np.ndarray | None) -> str | None:
     return None if values is None else hashlib.sha256(values.tobytes()).hexdigest()
 
 
-# sha256 of (cdf, fired_cdf) bytes for each distinct preparation, in slice
-# order, at N=2^20 and M=4; written by the dense chain (run_grover's complex
+# sha256 of (cdf, fired_cdf) bytes for each distinct preparation, in the
+# order ``prepare`` returns them, at N=2^20 and M=4; written by the dense chain (run_grover's complex
 # register, compose_with_probe, apply_boolean_oracle, born masses).
 PREPARE_PINS = [
     (
@@ -64,11 +70,8 @@ PREPARE_PINS = [
     "strategy, marked, pins", PREPARE_PINS, ids=["probe", "sequential", "verify-three-in-one"]
 )
 def test_prepared_bytes_match_pin_at_twenty_qubits(strategy, marked, pins):
-    slices = prepare(ExperimentConfig(1 << 20, 4, frozenset(marked), strategy, seed=1))
-    distinct = {}
-    for s in slices:
-        distinct.setdefault(id(s.cdf), (digest(s.cdf), digest(s.fired_cdf)))
-    assert list(distinct.values()) == pins
+    preparations, _ = prepare(ExperimentConfig(1 << 20, 4, frozenset(marked), strategy, seed=1))
+    assert [(digest(p.cdf), digest(p.fired_cdf)) for p in preparations] == pins
 
 
 def bits(values: np.ndarray | None) -> list[int] | None:
@@ -111,19 +114,48 @@ def test_prepared_masses_match_dense_chain_bit_for_bit(num_qubits):
 
 
 @pytest.mark.parametrize(
-    "strategy, num_subsystems", [(PROBE, 1), (PROBE, 4), (SEQUENTIAL, 4)]
+    "strategy, db_size, num_subsystems",
+    [(PROBE, 1 << 20, 1), (PROBE, 1 << 20, 4), (SEQUENTIAL, 1 << 20, 4), (PROBE, 1 << 17, 1 << 16)],
+    ids=["probe-1", "probe-4", "sequential-4", "probe-65536-n2^17"],
 )
 def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
-    strategy, num_subsystems
+    strategy, db_size, num_subsystems
 ):
     # At N=2^20 a complex register alone is 16 MiB and the probe's joint
     # state 32 MiB: the bound admits neither, only the kept float masses.
-    cfg = ExperimentConfig(1 << 20, num_subsystems, frozenset({12345}), strategy, seed=1)
+    # At 2^16 two-item slices it admits no Python object per slice.
+    cfg = ExperimentConfig(db_size, num_subsystems, frozenset({12345}), strategy, seed=1)
     tracemalloc.start()
     try:
-        slices = prepare(cfg)
+        preparations, which = prepare(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    distinct = len({id(s.cdf) for s in slices})
-    assert peak <= 8 * slices[0].sub.size * distinct + (1 << 20)
+    assert peak <= 8 * (db_size // len(which)) * len(preparations) + (1 << 20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(partitions(), st.sampled_from([PROBE, SEMICLASSICAL_VERIFY]))
+@example((8, 1, frozenset({3})), PROBE)  # one slice holding a solution
+@example((16, 4, frozenset({0, 5, 10, 15})), PROBE)  # every slice holds one
+@example((16, 4, frozenset({1, 5, 9})), SEMICLASSICAL_VERIFY)  # equal local sets
+def test_slice_map_agrees_with_partition(args, strategy):
+    db_size, num_subsystems, marked = args
+    cfg = ExperimentConfig(db_size, num_subsystems, marked, strategy, seed=1)
+    preparations, which = prepare(cfg)
+    subs = partition(db_size, num_subsystems, marked)
+    assert which.dtype == np.intp and len(which) == len(subs)
+    # Two slices share a preparation exactly when their local marked sets
+    # are equal, and each preparation holds that set's masses.
+    shared = {}
+    for sub, n in zip(subs, which.tolist()):
+        assert shared.setdefault(sub.local_marked, n) == n
+    assert len(set(shared.values())) == len(shared)
+    for local, n in shared.items():
+        cdf, fired, ledger = distributed._distributions(strategy, subs[0].num_qubits, local, 1)
+        assert bits(preparations[n].cdf) == bits(cdf)
+        assert bits(preparations[n].fired_cdf) == bits(fired)
+        assert preparations[n].ledger == ledger
+    # No preparation goes unused: none is built for an empty set that no
+    # slice holds.
+    assert sorted(shared.values()) == list(range(len(preparations)))
