@@ -27,16 +27,18 @@ preparation with an index array, so no per-slice object is built. It
 builds the masses in float buffers straight from the two amplitudes,
 with the numpy operations a measurement of the dense state uses, so no
 complex register or joint probe state is ever built and a distinct slice
-of N items costs 8·N bytes. Trials are then drawn a chunk at a time:
-every draw is the first value of its own seed-tree stream, computed in
-blocks by ``first_draws``, and each distinct distribution is sampled for
-all its slices and the whole chunk at once. The merge works on the
-chunk's (trials, slices, rounds) outcome array as a whole, giving one
-column per quantity (winners, recovered indices, correctness, merge
-cost); ``summarize_trials`` folds those columns into integer totals, and
-``iter_trials`` builds per-trial reports from the same columns. Only the
-draws differ between trials: the pre-measurement state is fixed by the
-closed form, and so is every cost the merge does not read off a draw.
+of N items costs 8·N bytes. Trials are then drawn a chunk at a time and
+one stage at a time, each stage only where the merge reads it: every
+draw is the first value of its own seed-tree stream, computed in blocks
+by ``first_draws`` at the live (trial, slice) pairs only, and each
+distinct distribution is sampled for all its slices and the whole chunk
+at once. The merge works on the chunk's (trials, slices) outcomes as a
+whole, giving one column per quantity (winners, recovered indices,
+correctness, merge cost); ``summarize_trials`` folds those columns into
+integer totals, and ``iter_trials`` builds per-trial reports from the
+same columns. Only the draws differ between trials: the pre-measurement
+state is fixed by the closed form, and so is every cost the merge does
+not read off a draw.
 """
 
 from __future__ import annotations
@@ -67,16 +69,16 @@ ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
 _STAGE_RECOVER = 1
 
-# Trials are drawn in chunks of about _CHUNK_KEYS seed-tree keys (at least
-# one trial), hashed _BLOCK_KEYS keys per numpy pass. Both trade speed for
-# transient memory only; neither can change a draw. A 2**12-key block's hash
-# temporaries peak at about 1.2 MiB (0.3 MiB at 2**10) and hash each key in
-# about half the time.
-_CHUNK_KEYS = 1 << 12
+# Seed-tree keys are hashed _BLOCK_KEYS per numpy pass, and a chunk of trials
+# holds about _BLOCK_KEYS slices' worth (at least one trial). The size trades
+# speed for transient memory only and cannot change a draw. A 2**12-key
+# block's hash temporaries peak at about 1.2 MiB (0.3 MiB at 2**10) and hash
+# each key in about half the time.
 _BLOCK_KEYS = 1 << 12
 
-# Each slice costs about 85 B of peak memory, mostly one trial's draw arrays:
-# one probe trial at N=2**17 and 2**16 slices peaks at 33.6 MiB (import: 28.4).
+# Each slice costs about 85 B of peak memory at any repeat rounds, mostly one
+# stage's draw arrays: one probe trial at N=2**17 and 2**16 slices peaks at
+# 33.6 MiB (import: 28.4).
 MAX_SUBSYSTEMS = 1 << 16
 
 
@@ -398,7 +400,10 @@ def count_decision_steps(bits: np.ndarray) -> np.ndarray:
 
 
 def recover_global(
-    prepared: PreparedSlice, sub_id: int, probe_bit: int | np.ndarray, uniform: float | np.ndarray
+    prepared: PreparedSlice,
+    sub_id: int | np.ndarray,
+    probe_bit: int | np.ndarray,
+    uniform: float | np.ndarray,
 ) -> int | np.ndarray:
     """Read the solution index out of winning slice ``sub_id``, prepared as ``prepared``.
 
@@ -406,8 +411,9 @@ def recover_global(
     singleton solution this is exactly the solution basis state) and maps
     the local index back to the global database through the slice offset,
     ``sub_id`` times the slice size. Like ``sample_cdf``, takes one uniform
-    or an array of them (one per trial the slice won, with the matching
-    probe bits) and returns an int or an index array.
+    or an array of them, one per winning (trial, slice) pair of slices that
+    share ``prepared``, with matching arrays of slice ids and probe bits,
+    and returns an int or an index array.
     """
     if np.any(np.asarray(probe_bit) != 1):
         raise ProtocolError(
@@ -421,38 +427,26 @@ def recover_global(
     return sub_id * len(prepared.fired_cdf) + sample_cdf(prepared.fired_cdf, uniform)
 
 
-def _draws(seed: int, total: int, key_columns) -> np.ndarray:
-    """``first_draws`` of ``total`` seed-tree keys, ``_BLOCK_KEYS`` at a time.
-
-    ``key_columns(flat)`` gives the key columns (scalars broadcast) of the
-    flat key indices ``flat``, so no key matrix larger than one block is
-    ever built.
-    """
-    uniforms = np.empty(total)
-    for start in range(0, total, _BLOCK_KEYS):
-        flat = np.arange(start, min(start + _BLOCK_KEYS, total), dtype=np.uint64)
-        columns = np.broadcast_arrays(*key_columns(flat))
-        keys = np.empty((len(flat), len(columns)), dtype=np.uint64)
-        for j, column in enumerate(columns):
-            keys[:, j] = column
-        uniforms[start : start + len(flat)] = first_draws(seed, keys)
-    return uniforms
-
-
 def _uniforms(
-    seed: int, slot: int, first_trial: int, trials: int, num_slices: int, rounds: int
+    config: ExperimentConfig, stage: int, first_trial: int, live: np.ndarray
 ) -> np.ndarray:
-    """The first draw of every stream (slot, trial, sub, stage) of ``trials``
-    trials from ``first_trial``, shaped (trials, slices, rounds)."""
-    per_trial = num_slices * rounds
-    uniforms = _draws(
-        seed,
-        trials * per_trial,
-        lambda flat: (
-            slot, first_trial + flat // per_trial, flat // rounds % num_slices, flat % rounds
-        ),
-    )
-    return uniforms.reshape(trials, num_slices, rounds)
+    """The first draw of stream (slot, first_trial + row, sub, stage) at each
+    live (row, sub) pair of the boolean (trials, slices) mask ``live``, and
+    0.0 at every other pair. Only the live keys are hashed, ``_BLOCK_KEYS``
+    at a time."""
+    rows, subs = np.nonzero(live)
+    drawn = np.empty(len(rows))
+    for start in range(0, len(rows), _BLOCK_KEYS):
+        block = slice(start, start + _BLOCK_KEYS)
+        keys = np.empty((len(drawn[block]), 4), dtype=np.uint64)
+        keys[:, 0] = _SEED_SLOT[config.strategy]
+        keys[:, 1] = rows[block] + first_trial
+        keys[:, 2] = subs[block]
+        keys[:, 3] = stage
+        drawn[block] = first_draws(config.seed, keys)
+    uniforms = np.zeros(live.shape)
+    uniforms[live] = drawn
+    return uniforms
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,9 +469,14 @@ class _Columns:
 
 
 def _merge(
-    config: ExperimentConfig, prepared: list, which: np.ndarray, first_trial: int, drawn: np.ndarray
+    config: ExperimentConfig, prepared: list, which: np.ndarray, ids: list, trials: range
 ) -> _Columns:
-    """Merge a chunk of drawn outcomes (trial, sub, stage) by the strategy.
+    """Draw and merge a chunk of trials by the strategy.
+
+    Stages are drawn one at a time, each only where the merge reads it:
+    stage 0 at every slice, the probe's recovery only at its winners and
+    repeat round r only where rounds 0..r-1 agreed. ``ids`` holds the slice
+    ids of each preparation.
 
     - probe: the slices whose probe read 1 win; only their registers are
       measured (log2(slice size) qubits each), after an OR-tree scan of the
@@ -489,38 +488,41 @@ def _merge(
       index reports it, unchecked; several agreeing slices are all reported
       (multiplicity). The sequential baseline is one slice and one round.
     """
+
+    def sample(stage: int, live: np.ndarray) -> np.ndarray:
+        uniforms = _uniforms(config, stage, trials.start, live)
+        drawn = np.empty(live.shape, dtype=np.intp)
+        for p, i in zip(prepared, ids):
+            drawn[:, i] = sample_cdf(p.cdf, uniforms[:, i])
+        return drawn
+
     marked = np.fromiter(config.global_marked, dtype=np.int64)
     size = config.db_size // len(which)
     offsets = np.arange(len(which), dtype=np.int64) * size
-    trials = len(drawn)
-    merge_qubits = steps = np.zeros(trials, dtype=np.int64)
+    merge_qubits = steps = np.zeros(len(trials), dtype=np.int64)
+    readouts = sample(0, np.ones((len(trials), len(which)), dtype=bool))
     if config.strategy == PROBE:
-        readouts = drawn[:, :, 0]
         winners = readouts == 1
+        uniforms = _uniforms(config, _STAGE_RECOVER, trials.start, winners)
         recovered = np.zeros(readouts.shape, dtype=np.int64)
-        rows, ids = np.nonzero(winners)
-        # Recovery draws: stream (probe slot, trial, sub, 1) of each winner.
-        uniforms = _draws(
-            config.seed,
-            len(rows),
-            lambda flat: (_SEED_SLOT[PROBE], first_trial + rows[flat], ids[flat], _STAGE_RECOVER),
-        )
-        for w in np.unique(ids).tolist():
-            won = ids == w
-            recovered[rows[won], w] = recover_global(
-                prepared[which[w]], w, readouts[rows[won], w], uniforms[won]
-            )
+        for p, i in zip(prepared, ids):
+            rows, cols = np.nonzero(winners[:, i])
+            if len(rows):
+                won = rows, i[cols]
+                recovered[won] = recover_global(p, i[cols], readouts[won], uniforms[won])
         merge_qubits = winners.sum(axis=1) * (size.bit_length() - 1)
         steps = count_decision_steps(winners)
     elif config.strategy == SEMICLASSICAL_VERIFY:
-        readouts = drawn[:, :, 0]
         recovered = offsets + readouts
         winners = np.isin(recovered, marked)
     else:
-        agreed = (drawn == drawn[:, :, :1]).all(axis=2)
-        readouts = np.where(agreed, drawn[:, :, 0], -1)
+        winners = np.ones(readouts.shape, dtype=bool)
+        for stage in range(1, _rounds(config)):
+            if not winners.any():
+                break
+            winners &= sample(stage, winners) == readouts
+        readouts = np.where(winners, readouts, -1)
         recovered = offsets + readouts
-        winners = agreed
     found = winners.any(axis=1)
     if marked.size:
         correct = found & (np.isin(recovered, marked) | ~winners).all(axis=1)
@@ -545,19 +547,14 @@ def _merged_chunks(
     config: ExperimentConfig, prepared: list, which: np.ndarray
 ) -> Iterator[_Columns]:
     """Draw and merge the configured trials in chunks of about
-    ``_CHUNK_KEYS`` draws, so memory does not grow with the trial count.
-    Each preparation is sampled for all its slices and the chunk at once."""
+    ``_BLOCK_KEYS`` stage-0 draws (at least one trial), so draw memory
+    grows with neither the trial count nor the rounds."""
     # The slice ids of each preparation, in one sort whatever their number.
     ids = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
-    slot, rounds = _SEED_SLOT[config.strategy], _rounds(config)
-    chunk = max(1, _CHUNK_KEYS // (len(which) * rounds))
+    chunk = max(1, _BLOCK_KEYS // len(which))
     for first in range(0, config.trials, chunk):
-        trials = min(chunk, config.trials - first)
-        uniforms = _uniforms(config.seed, slot, first, trials, len(which), rounds)
-        drawn = np.empty(uniforms.shape, dtype=np.intp)
-        for p, i in zip(prepared, ids):
-            drawn[:, i] = sample_cdf(p.cdf, uniforms[:, i])
-        yield _merge(config, prepared, which, first, drawn)
+        trials = range(first, min(first + chunk, config.trials))
+        yield _merge(config, prepared, which, ids, trials)
 
 
 def summarize_trials(config: ExperimentConfig) -> TrialSummary:

@@ -217,36 +217,56 @@ def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 @pytest.mark.parametrize("block_keys, chunk_trials", [(5, 2), (7, 1), (3, 3)])
 def test_chunk_and_block_sizes_never_change_a_trial(monkeypatch, strategy, block_keys, chunk_trials):
-    # 16 slices and 3 repeat rounds: a repeat trial draws 48 keys, so it
-    # spans many blocks, and 7 trials leave a short last chunk. At the
-    # default sizes all 7 trials are one chunk and one block.
+    # 16 slices and 3 repeat rounds. A block of fewer keys than slices
+    # splits every stage of a one-trial chunk into several blocks; a block of
+    # chunk_trials slices' worth of keys makes chunks of that many trials,
+    # with a short last chunk of the 7. At the default size all 7 trials are
+    # one chunk and every stage one block.
     cfg = ExperimentConfig(
         256, 16, frozenset({3, 40, 41, 200}), strategy, seed=11, trials=7, repeat_rounds=3
     )
     expected = list(iter_trials(cfg))
-    per_trial = (1 if strategy == SEQUENTIAL else 16) * distributed._rounds(cfg)
-    monkeypatch.setattr(distributed, "_BLOCK_KEYS", block_keys)
-    monkeypatch.setattr(distributed, "_CHUNK_KEYS", chunk_trials * per_trial + 1)
-    assert list(iter_trials(cfg)) == expected
+    slices = 1 if strategy == SEQUENTIAL else 16
+    for size in (block_keys, chunk_trials * slices):
+        monkeypatch.setattr(distributed, "_BLOCK_KEYS", size)
+        assert list(iter_trials(cfg)) == expected
+
+
+def test_recovery_is_sampled_once_per_preparation_per_chunk(monkeypatch):
+    # Every 4-item slice holds local solution 0, so one preparation serves
+    # all 64 slices, and one Grover iteration makes every probe fire.
+    cfg = ExperimentConfig(256, 64, frozenset(range(0, 256, 4)), PROBE, seed=1, trials=3)
+    calls, recover_global = [], distributed.recover_global
+
+    def counting_recover_global(prepared, sub_id, probe_bit, uniform):
+        calls.append(np.size(sub_id))
+        return recover_global(prepared, sub_id, probe_bit, uniform)
+
+    monkeypatch.setattr(distributed, "recover_global", counting_recover_global)
+    reports = list(iter_trials(cfg))
+    assert all(len(r.winners) == 64 for r in reports)
+    preparations, _ = distributed.prepare(cfg)
+    chunks = -(-cfg.trials // max(1, distributed._BLOCK_KEYS // 64))
+    assert len(calls) <= len(preparations) * chunks
+    assert sum(calls) == 64 * cfg.trials
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(configs(max_marked=12), st.sampled_from([(3, 5), (1, 1), (7, 40), (4096, 4096)]))
-@example(ExperimentConfig(256, 1, frozenset({3, 100}), PROBE, seed=4, trials=5), (3, 5))
-@example(ExperimentConfig(256, 128, frozenset({0, 1, 7, 255}), PROBE, seed=5, trials=3), (7, 40))
+@given(configs(max_marked=12), st.sampled_from([1, 3, 7, 40, 4096]))
+@example(ExperimentConfig(256, 1, frozenset({3, 100}), PROBE, seed=4, trials=5), 3)
+@example(ExperimentConfig(256, 128, frozenset({0, 1, 7, 255}), PROBE, seed=5, trials=3), 7)
 @example(
     ExperimentConfig(64, 8, frozenset(range(0, 64, 3)), SEMICLASSICAL_REPEAT, seed=2, trials=9),
-    (1, 1),
+    1,
 )
-@example(ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_VERIFY, seed=3, trials=4), (3, 5))
-def test_columnar_summary_equals_summarized_reports(cfg, sizes):
-    # The reports come at the default chunk and block sizes, the summary at
-    # the drawn ones: neither the fold nor the chunking may change a total.
+@example(ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_VERIFY, seed=3, trials=4), 3)
+@example(ExperimentConfig(64, 4, frozenset({5, 37}), SEMICLASSICAL_REPEAT, seed=6, trials=25), 40)
+def test_columnar_summary_equals_summarized_reports(cfg, block_keys):
+    # The reports come at the default block size, the summary at the drawn
+    # one, which also sets the chunk length: neither the fold nor the
+    # chunking may change a total.
     expected = summarize(iter_trials(cfg))
-    block_keys, chunk_keys = sizes
-    with mock.patch.object(distributed, "_BLOCK_KEYS", block_keys), mock.patch.object(
-        distributed, "_CHUNK_KEYS", chunk_keys
-    ):
+    with mock.patch.object(distributed, "_BLOCK_KEYS", block_keys):
         assert summarize_trials(cfg) == expected
 
 

@@ -1,7 +1,8 @@
 """What ``prepare`` keeps per distinct slice: pinned bytes at the size the
 benchmark runs, every mass equal to the dense chain's bit for bit, one
 preparation per distinct local marked set that ``partition`` hands out, and
-no more memory than the masses it keeps."""
+no more memory than the masses it keeps, nor draws whose memory grows with the
+repeat rounds."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from probegrover import (
     ALL_STRATEGIES,
     ExperimentConfig,
     PROBE,
+    SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
     apply_boolean_oracle,
@@ -25,7 +27,7 @@ from probegrover import (
     run_grover,
 )
 from probegrover import distributed
-from probegrover.distributed import prepare
+from probegrover.distributed import prepare, summarize_trials
 from probegrover.statevector import collapse_probe, probe_branch_masses
 
 from helpers import partitions
@@ -132,6 +134,25 @@ def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (db_size // len(which)) * len(preparations) + (1 << 20)
+
+
+def test_draw_memory_does_not_grow_with_repeat_rounds():
+    # 2^12 slices make every chunk one trial; each round is drawn only where
+    # the earlier rounds agreed, so 31 rounds hold no more than 3 do.
+    def peak(rounds: int) -> int:
+        cfg = ExperimentConfig(
+            1 << 20, 1 << 12, frozenset({5, 70000}), SEMICLASSICAL_REPEAT,
+            seed=1, trials=3, repeat_rounds=rounds,
+        )
+        tracemalloc.start()
+        try:
+            summarize_trials(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(3)  # warm-up: first-call caches are not draw memory
+    assert peak(31) <= peak(3) + (256 << 10)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probegrover import SEMICLASSICAL_REPEAT, ExperimentConfig
 from probegrover.distributed import _uniforms
 from probegrover.seeding import child_rng, first_draws
 
@@ -58,16 +59,17 @@ def test_wide_trial_index_is_two_spawn_words():
 
 @pytest.mark.parametrize("first_trial", [2**32 - 1, 2**40])
 def test_trial_engine_keys_past_32_bits(first_trial):
-    # Two trials of 3 slices x 2 rounds from first_trial, as iter_trials
-    # would draw them at that trial index.
-    uniforms = _uniforms(5, 2, first_trial, 2, 3, 2)
-    keys = [
-        (2, first_trial + t, sub, stage)
-        for t in range(2)
-        for sub in range(3)
-        for stage in range(2)
-    ]
-    assert np.array_equal(uniforms.ravel(), reference(5, keys))
+    # Two stages of two trials of 3 slices from first_trial, drawn only at
+    # the live pairs of a ragged mask, as iter_trials would draw them at that
+    # trial index.
+    cfg = ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_REPEAT, seed=5)
+    live = np.array([[True, False, True], [False, True, True]])
+    rows, subs = np.nonzero(live)
+    for stage in (0, 1):
+        uniforms = _uniforms(cfg, stage, first_trial, live)
+        keys = [(2, first_trial + t, sub, stage) for t, sub in zip(rows.tolist(), subs.tolist())]
+        assert np.array_equal(uniforms[live], reference(5, keys))
+        assert np.array_equal(uniforms[~live], np.zeros(np.count_nonzero(~live)))
 
 
 @pytest.mark.parametrize(
