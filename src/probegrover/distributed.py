@@ -23,17 +23,17 @@ Every strategy runs as one pipeline. ``prepare`` runs the Grover search
 once per distinct local marked set on the register's two distinct
 amplitudes (``run_grover_pair``), keeps only the cumulative outcome
 masses a measurement samples from, and maps each slice to its
-preparation with an index array, so no per-slice object is built. It
-builds the masses in float buffers straight from the two amplitudes,
-with the numpy operations a measurement of the dense state uses, so no
-complex register or joint probe state is ever built and a distinct slice
-of N items costs 8·N bytes. Trials are then drawn a chunk at a time and
-one stage at a time, each stage only where the merge reads it: every
-draw is the first value of its own seed-tree stream, computed in blocks
-by ``first_draws`` at the live (trial, slice) pairs only, and each
-distinct distribution is sampled for all its slices and the whole chunk
-at once. The merge works on the chunk's (trials, slices) outcomes as a
-whole, giving one column per quantity (winners, recovered indices,
+preparation with an index array, so no per-slice object is built. Every
+array those masses sum is two-valued, so it is never built: its
+``np.cumsum`` is kept as arithmetic segments (``SegmentedCdf``) and its
+``np.sum`` replayed as numpy's pairwise sum, bit for bit, and a distinct
+slice of N items with K marked costs O(K + log N) memory. Trials are
+then drawn a chunk at a time and one stage at a time, each stage only
+where the merge reads it: every draw is the first value of its own
+seed-tree stream, computed in blocks by ``first_draws`` at the live
+(trial, slice) pairs only, and each distinct distribution is sampled at
+its live pairs of the chunk at once. The merge works on the chunk's
+(trials, slices) outcomes as a whole, giving one column per quantity (winners, recovered indices,
 correctness, merge cost); ``summarize_trials`` folds those columns into
 integer totals, and ``iter_trials`` builds per-trial reports from the
 same columns. Only the draws differ between trials: the pre-measurement
@@ -49,13 +49,13 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError
-from .grover import is_power_of_two, run_grover_pair
+from .errors import ConfigurationError, InvariantError, ProtocolError
+from .grover import _FLOAT_LEAF, _TwoValueSum, is_power_of_two, run_grover_pair
 from .ledger import CostLedger, TrialSummary, fold_summary
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
 from .seeding import child_rng, first_draws  # noqa: F401
-from .statevector import MAX_QUBITS, sample_cdf
+from .statevector import MAX_QUBITS
 
 PROBE = "probe"
 SEMICLASSICAL_VERIFY = "semiclassical-verify"
@@ -69,16 +69,16 @@ ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
 _STAGE_RECOVER = 1
 
-# Seed-tree keys are hashed _BLOCK_KEYS per numpy pass, and a chunk of trials
-# holds about _BLOCK_KEYS slices' worth (at least one trial). The size trades
-# speed for transient memory only and cannot change a draw. A 2**12-key
+# Seed-tree keys are hashed, and live pairs sampled, _BLOCK_KEYS per numpy
+# pass, and a chunk of trials holds about _BLOCK_KEYS slices' worth (at least
+# one trial). The size trades speed for transient memory only and cannot change a draw. A 2**12-key
 # block's hash temporaries peak at about 1.2 MiB (0.3 MiB at 2**10) and hash
 # each key in about half the time.
 _BLOCK_KEYS = 1 << 12
 
-# Each slice costs about 85 B of peak memory at any repeat rounds, mostly one
+# Each slice costs about 95 B of peak memory at any repeat rounds, mostly one
 # stage's draw arrays: one probe trial at N=2**17 and 2**16 slices peaks at
-# 33.6 MiB (import: 28.4).
+# 34.5 MiB (import: 28.4).
 MAX_SUBSYSTEMS = 1 << 16
 
 
@@ -253,6 +253,50 @@ def partition(
     ]
 
 
+class SegmentedCdf:
+    """A nondecreasing cumulative mass array, kept as arithmetic segments.
+
+    Segment k holds ``count[k]`` consecutive items, ``first[k] + j *
+    step[k]`` for j below ``count[k]``; ``last[k]`` is its final value and
+    ``size`` the number of items. The segments hold ``np.cumsum`` of a
+    two-valued array bit for bit: a segment of more than one distinct value
+    lies inside one binade, where each addition adds the same multiple of
+    the binade's ulp, so ``first + j * step`` is exact.
+    """
+
+    def __init__(self, first: np.ndarray, step: np.ndarray, count: np.ndarray):
+        self.first, self.step, self.count = first, step, count
+        start = np.cumsum(count) - count
+        self.size = int(start[-1] + count[-1])
+        self.last = first + (count - 1) * step
+        # The sampler's tables, with one sentinel segment past the end that
+        # maps every value to the last item, as sample_cdf's clamp does. A
+        # constant segment divides by infinity.
+        self._start = np.concatenate((start, [self.size - 1])).astype(np.float64)
+        self._first = np.concatenate((first, [np.inf]))
+        self._divisor = np.concatenate((np.where(step > 0.0, step, np.inf), [1.0]))
+
+    def sample(self, uniforms: float | np.ndarray) -> int | np.ndarray:
+        """``sample_cdf`` of the expanded array, without expanding it.
+
+        A right-sided binary search over the segments' last values finds
+        the segment holding the first item above ``x = uniforms * total``.
+        Inside it, x and ``first`` share a binade, so ``x - first`` and
+        ``step`` are integer multiples of its ulp below 2**52, and the
+        rounded quotient has the exact integer part: it counts the
+        segment's items at or below x.
+        """
+        total = self.last[-1]
+        if total <= 0.0:
+            raise InvariantError("outcome distribution has zero total mass")
+        x = uniforms * total
+        k = np.searchsorted(self.last, x, side="right")
+        first = self._first[k]
+        below = np.floor((x - first) / self._divisor[k]) + (x >= first)
+        index = (self._start[k] + np.maximum(below, 0.0)).astype(np.intp)
+        return index if np.ndim(index) else int(index)
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedSlice:
     """What one distinct slice's trials draw from, built once per configuration.
@@ -263,12 +307,113 @@ class PreparedSlice:
     conditioned on the probe reading 1 (probe strategy only; None when the
     probe cannot fire). ``ledger`` is what one trial costs the slice. The
     masses are summed exactly as a per-trial measurement sums them, so
-    every draw lands on the same outcome.
+    every draw lands on the same outcome. Both are ``SegmentedCdf``s of
+    O(K + log N) segments for a slice of N items, K of them marked.
     """
 
-    cdf: np.ndarray
-    fired_cdf: np.ndarray | None
+    cdf: SegmentedCdf
+    fired_cdf: SegmentedCdf | None
     ledger: CostLedger
+
+
+def _binade_top(total: float) -> float:
+    """The power of two that ends the binade of a positive ``total``."""
+    return math.ldexp(1.0, math.frexp(total)[1])
+
+
+def _scalar_run(total: float, value: float, length: int, pieces: list) -> float:
+    """Append the segments of ``length`` float64 additions of ``value`` to
+    ``total``, in ``np.cumsum``'s order, and return the last sum.
+
+    Three sums with two equal steps inside one binade start an arithmetic
+    segment that lasts to the binade's end: the step is the value rounded
+    to the binade's ulp, and once the first tie has rounded to even it
+    stays the same. Any other sum, at a binade edge or before a tie has
+    settled, is a segment of its own.
+    """
+    firsts, steps, counts = [], [], []
+    while length:
+        a = total + value
+        b = a + value
+        step = b - a
+        count = 1
+        if length >= 3 and b + value - b == step:
+            top = _binade_top(a)
+            if step == 0.0:
+                count = length
+            elif b + value < top:
+                # The sums a + j * step below top, counted in ulps.
+                ulp = math.ulp(a)
+                count = min(length, -(-int((top - a) / ulp) // int(step / ulp)))
+        firsts.append(a)
+        steps.append(step)
+        counts.append(count)
+        total = a + (count - 1) * step
+        length -= count
+    pieces.append((firsts, steps, counts))
+    return total
+
+
+def _binade_runs(total: float, lengths: np.ndarray, values: np.ndarray, pieces: list):
+    """Append the segments of the leading runs that keep every sum inside
+    the binade of a positive ``total``; return how many runs they are and
+    the last sum.
+
+    In that binade each addition of a value adds the value rounded to the
+    binade's ulp, whatever the sum, unless it lies exactly halfway between
+    two multiples of the ulp: then the result rounds to even, and the
+    scalar path takes over. The sums are exact integer multiples of the ulp.
+    """
+    ulp = math.ulp(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        units = values / ulp
+        steps = np.rint(units)
+        sums = total / ulp + np.cumsum(lengths * steps)
+        fits = (sums < _binade_top(total) / ulp) & (units - np.floor(units) != 0.5)
+    taken = len(fits) if fits.all() else int(np.argmin(fits))
+    if taken:
+        steps, sums, lengths = steps[:taken], sums[:taken], lengths[:taken]
+        pieces.append(((sums - (lengths - 1) * steps) * ulp, steps * ulp, lengths))
+        total = float(sums[-1] * ulp)
+    return taken, total
+
+
+def _two_valued_cumsum(
+    size: int, indices: np.ndarray, unmarked: float, marked: float
+) -> SegmentedCdf:
+    """``np.cumsum`` of the ``size``-item array holding ``marked`` at the
+    sorted ``indices`` and ``unmarked`` elsewhere, as segments, bit for bit.
+
+    The array is runs of equal items. All runs that stay inside the
+    running sum's binade are taken at once; the run that leaves it, or a
+    binade where a value ties, goes run by run. The work is O(runs) numpy
+    operations per binade the sums pass.
+    """
+    # Runs of consecutive marked items, as their first and one-past-last
+    # items; the runs alternate unmarked, marked, ... from item 0.
+    breaks = np.flatnonzero(indices[1:] != indices[:-1] + 1)
+    heads = np.concatenate((indices[:1], indices[breaks + 1]))
+    tails = np.concatenate((indices[breaks], indices[-1:])) + 1
+    bounds = np.concatenate(([0], np.column_stack((heads, tails)).ravel(), [size]))
+    lengths = bounds[1:] - bounds[:-1]
+    values = np.where(np.arange(len(lengths)) % 2, marked, unmarked)
+    keep = lengths > 0
+    lengths, values = lengths[keep], values[keep]
+    pieces: list = []
+    total, r = 0.0, 0
+    while r < len(lengths):
+        # Skip the pass when the next run plainly leaves the binade.
+        if 0.0 < total and total + lengths[r] * values[r] < _binade_top(total):
+            taken, total = _binade_runs(total, lengths[r:], values[r:], pieces)
+            r += taken
+        top = _binade_top(total) if total > 0.0 else 0.0
+        while r < len(lengths):
+            total = _scalar_run(total, float(values[r]), int(lengths[r]), pieces)
+            r += 1
+            if total >= top:
+                break
+    first, step, count = (np.concatenate(column) for column in zip(*pieces))
+    return SegmentedCdf(first, step, count.astype(np.int64))
 
 
 def _rounds(config: ExperimentConfig) -> int:
@@ -277,47 +422,46 @@ def _rounds(config: ExperimentConfig) -> int:
 
 def _distributions(
     strategy: str, num_qubits: int, marked: frozenset[int], rounds: int
-) -> tuple[np.ndarray, np.ndarray | None, CostLedger]:
+) -> tuple[SegmentedCdf, SegmentedCdf | None, CostLedger]:
     """The cumulative masses one slice's trials sample, built from its two
-    final Grover amplitudes in one N-item float buffer.
+    final Grover amplitudes without an N-item array.
 
     Each mass array holds the bytes the dense chain gives: the register's
     ``np.cumsum(np.abs(amps) ** 2)``; for the probe, ``np.sum`` of each
     branch of the joint state after the boolean oracle (the register with
     its marked slots swapped out, and only those slots), and the register
-    conditioned on the probe reading 1. The buffer holds each branch's
-    squared magnitudes in the joint state's item order, so every sum takes
-    numpy's own pairwise path over the same values.
+    conditioned on the probe reading 1. Every array summed is two-valued,
+    so the cumulative sums are replayed as segments and the branch sums
+    as numpy's pairwise sum over float leaves (``_TwoValueSum``).
     """
     pair, indices, stats = run_grover_pair(num_qubits, marked)
     iterations = stats.iterations
     unmarked, hit = np.abs(pair) ** 2
-    masses = np.full(1 << num_qubits, unmarked)
+    size = 1 << num_qubits
     if strategy != PROBE:
         ledger = CostLedger(
             qubits_measured=rounds * num_qubits,
             quantum_oracle_calls=rounds * iterations,
             grover_iterations=rounds * iterations,
         )
-        masses[indices] = hit
-        return np.cumsum(masses, out=masses), None, ledger
-    masses[indices] = 0.0
-    unfired = float(np.sum(masses))
-    masses.fill(0.0)
-    masses[indices] = hit
-    fired = float(np.sum(masses))
+        return _two_valued_cumsum(size, indices, unmarked, hit), None, ledger
+    branch = _TwoValueSum(num_qubits, indices, _FLOAT_LEAF)
+    unfired = float(branch(unmarked, 0.0))
+    fired = float(branch(0.0, hit))
     fired_cdf = None
     if fired > 0.0:
         # collapse_probe's division, applied to the marked value alone.
-        masses[indices] = np.abs(pair[1:] / math.sqrt(fired)) ** 2
-        fired_cdf = np.cumsum(masses, out=masses)
+        (share,) = np.abs(pair[1:] / math.sqrt(fired)) ** 2
+        fired_cdf = _two_valued_cumsum(size, indices, 0.0, share)
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
         qubits_measured=1,
         quantum_oracle_calls=iterations + 1,
         grover_iterations=iterations,
     )
-    return np.cumsum([unfired, fired]), fired_cdf, ledger
+    # Two items: their np.cumsum is two one-item segments.
+    branches = SegmentedCdf(np.cumsum([unfired, fired]), np.zeros(2), np.ones(2, np.int64))
+    return branches, fired_cdf, ledger
 
 
 def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
@@ -336,7 +480,7 @@ def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
     marked = np.sort(np.fromiter(config.global_marked, np.int64, len(config.global_marked)))
     ids, starts = np.unique(marked // size, return_index=True)
     # The local sets of the slices in ``ids``; np.split of no items gives one piece.
-    local =[frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
+    local = [frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
     distinct = {s: n for n, s in enumerate(dict.fromkeys(local))}
     which = np.full(num_slices, len(distinct), dtype=np.intp)
     which[ids] = [distinct[s] for s in local]
@@ -400,20 +544,22 @@ def count_decision_steps(bits: np.ndarray) -> np.ndarray:
 
 
 def recover_global(
+    config: ExperimentConfig,
     prepared: PreparedSlice,
     sub_id: int | np.ndarray,
     probe_bit: int | np.ndarray,
     uniform: float | np.ndarray,
 ) -> int | np.ndarray:
-    """Read the solution index out of winning slice ``sub_id``, prepared as ``prepared``.
+    """Read the solution index out of winning slice ``sub_id`` of ``config``,
+    prepared as ``prepared``.
 
     Measures the register conditioned on the probe having read 1 (for a
     singleton solution this is exactly the solution basis state) and maps
     the local index back to the global database through the slice offset,
-    ``sub_id`` times the slice size. Like ``sample_cdf``, takes one uniform
-    or an array of them, one per winning (trial, slice) pair of slices that
-    share ``prepared``, with matching arrays of slice ids and probe bits,
-    and returns an int or an index array.
+    ``sub_id`` times the configured slice size. Like ``sample_cdf``, takes
+    one uniform or an array of them, one per winning (trial, slice) pair of
+    slices that share ``prepared``, with matching arrays of slice ids and
+    probe bits, and returns an int or an index array.
     """
     if np.any(np.asarray(probe_bit) != 1):
         raise ProtocolError(
@@ -424,17 +570,20 @@ def recover_global(
         raise ProtocolError(
             f"sub-system {sub_id} has no retained probe-conditioned register"
         )
-    return sub_id * len(prepared.fired_cdf) + sample_cdf(prepared.fired_cdf, uniform)
+    size = config.db_size // config.num_subsystems
+    return sub_id * size + prepared.fired_cdf.sample(uniform)
 
 
 def _uniforms(
-    config: ExperimentConfig, stage: int, first_trial: int, live: np.ndarray
+    config: ExperimentConfig,
+    stage: int,
+    first_trial: int,
+    rows: np.ndarray,
+    subs: np.ndarray,
 ) -> np.ndarray:
     """The first draw of stream (slot, first_trial + row, sub, stage) at each
-    live (row, sub) pair of the boolean (trials, slices) mask ``live``, and
-    0.0 at every other pair. Only the live keys are hashed, ``_BLOCK_KEYS``
-    at a time."""
-    rows, subs = np.nonzero(live)
+    (row, sub) pair of the index arrays ``rows`` and ``subs``, hashed
+    ``_BLOCK_KEYS`` keys at a time."""
     drawn = np.empty(len(rows))
     for start in range(0, len(rows), _BLOCK_KEYS):
         block = slice(start, start + _BLOCK_KEYS)
@@ -444,9 +593,18 @@ def _uniforms(
         keys[:, 2] = subs[block]
         keys[:, 3] = stage
         drawn[block] = first_draws(config.seed, keys)
-    uniforms = np.zeros(live.shape)
-    uniforms[live] = drawn
-    return uniforms
+    return drawn
+
+
+def _groups(kind: np.ndarray) -> list[tuple[int, slice]]:
+    """Each preparation in the sorted array ``kind``, with the slices of
+    ``kind`` that hold it, at most ``_BLOCK_KEYS`` items each."""
+    edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)]
+    return [
+        (int(kind[lo]), slice(start, min(start + _BLOCK_KEYS, hi)))
+        for lo, hi in zip(edges[:-1], edges[1:])
+        for start in range(lo, hi, _BLOCK_KEYS)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,14 +627,16 @@ class _Columns:
 
 
 def _merge(
-    config: ExperimentConfig, prepared: list, which: np.ndarray, ids: list, trials: range
+    config: ExperimentConfig, prepared: list, which: np.ndarray, order: np.ndarray, trials: range
 ) -> _Columns:
     """Draw and merge a chunk of trials by the strategy.
 
     Stages are drawn one at a time, each only where the merge reads it:
     stage 0 at every slice, the probe's recovery only at its winners and
-    repeat round r only where rounds 0..r-1 agreed. ``ids`` holds the slice
-    ids of each preparation.
+    repeat round r only where rounds 0..r-1 agreed. The live (trial, slice)
+    pairs are index arrays grouped by preparation (``order`` holds the
+    slice ids sorted by preparation) that shrink from stage to stage, and
+    each stage samples each preparation once, at its live pairs only.
 
     - probe: the slices whose probe read 1 win; only their registers are
       measured (log2(slice size) qubits each), after an OR-tree scan of the
@@ -489,38 +649,45 @@ def _merge(
       (multiplicity). The sequential baseline is one slice and one round.
     """
 
-    def sample(stage: int, live: np.ndarray) -> np.ndarray:
-        uniforms = _uniforms(config, stage, trials.start, live)
-        drawn = np.empty(live.shape, dtype=np.intp)
-        for p, i in zip(prepared, ids):
-            drawn[:, i] = sample_cdf(p.cdf, uniforms[:, i])
+    def sample(stage: int) -> np.ndarray:
+        uniforms = _uniforms(config, stage, trials.start, rows, subs)
+        drawn = np.empty(len(rows), dtype=np.intp)
+        for n, group in _groups(which[subs]):
+            drawn[group] = prepared[n].cdf.sample(uniforms[group])
         return drawn
 
     marked = np.fromiter(config.global_marked, dtype=np.int64)
     size = config.db_size // len(which)
     offsets = np.arange(len(which), dtype=np.int64) * size
     merge_qubits = steps = np.zeros(len(trials), dtype=np.int64)
-    readouts = sample(0, np.ones((len(trials), len(which)), dtype=bool))
+    rows = np.tile(np.arange(len(trials)), len(which))
+    subs = np.repeat(order, len(trials))
+    readouts = np.empty((len(trials), len(which)), dtype=np.intp)
+    readouts[rows, subs] = sample(0)
     if config.strategy == PROBE:
         winners = readouts == 1
-        uniforms = _uniforms(config, _STAGE_RECOVER, trials.start, winners)
+        won = winners[rows, subs]
+        rows, subs = rows[won], subs[won]
+        bits = readouts[rows, subs]
+        uniforms = _uniforms(config, _STAGE_RECOVER, trials.start, rows, subs)
         recovered = np.zeros(readouts.shape, dtype=np.int64)
-        for p, i in zip(prepared, ids):
-            rows, cols = np.nonzero(winners[:, i])
-            if len(rows):
-                won = rows, i[cols]
-                recovered[won] = recover_global(p, i[cols], readouts[won], uniforms[won])
+        for n, g in _groups(which[subs]):
+            recovered[rows[g], subs[g]] = recover_global(
+                config, prepared[n], subs[g], bits[g], uniforms[g]
+            )
         merge_qubits = winners.sum(axis=1) * (size.bit_length() - 1)
         steps = count_decision_steps(winners)
     elif config.strategy == SEMICLASSICAL_VERIFY:
         recovered = offsets + readouts
         winners = np.isin(recovered, marked)
     else:
-        winners = np.ones(readouts.shape, dtype=bool)
         for stage in range(1, _rounds(config)):
-            if not winners.any():
+            if not len(rows):
                 break
-            winners &= sample(stage, winners) == readouts
+            agree = sample(stage) == readouts[rows, subs]
+            rows, subs = rows[agree], subs[agree]
+        winners = np.zeros(readouts.shape, dtype=bool)
+        winners[rows, subs] = True
         readouts = np.where(winners, readouts, -1)
         recovered = offsets + readouts
     found = winners.any(axis=1)
@@ -549,12 +716,11 @@ def _merged_chunks(
     """Draw and merge the configured trials in chunks of about
     ``_BLOCK_KEYS`` stage-0 draws (at least one trial), so draw memory
     grows with neither the trial count nor the rounds."""
-    # The slice ids of each preparation, in one sort whatever their number.
-    ids = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+    order = np.argsort(which, kind="stable")
     chunk = max(1, _BLOCK_KEYS // len(which))
     for first in range(0, config.trials, chunk):
         trials = range(first, min(first + chunk, config.trials))
-        yield _merge(config, prepared, which, ids, trials)
+        yield _merge(config, prepared, which, order, trials)
 
 
 def summarize_trials(config: ExperimentConfig) -> TrialSummary:

@@ -25,9 +25,10 @@ import numpy as np
 
 from .statevector import StateVector, _check_num_qubits, _marked_indices
 
-# Complex items per leaf of numpy's pairwise sum: it adds blocks of up to
-# 128 doubles with an 8-way unroll and splits anything longer into halves.
-_LEAF = 64
+# Items per leaf of numpy's pairwise sum: it adds blocks of up to 128
+# doubles with an 8-way unroll and splits anything longer into halves.
+_COMPLEX_LEAF = 64
+_FLOAT_LEAF = 128
 
 
 @dataclass
@@ -76,21 +77,22 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
 
 
 class _TwoValueSum:
-    """``np.add.reduce(amps)`` of a two-valued register, bit for bit.
+    """``np.add.reduce`` of a two-valued array of 2**num_qubits items, bit for bit.
 
-    numpy's complex ``add.reduce`` over a power-of-two N sums leaves of 64
-    items and adds sibling sums pairwise up a balanced tree, and
-    ``amps.mean()`` divides that sum by N. Every leaf and subtree without
-    a marked item has the same sum at its height, so only the leaves that
-    hold marked items and their ancestors are computed: O(log N) numpy
-    calls per sum, over 64 items per marked-holding leaf at the bottom
-    and one entry per marked-holding node above. A register of at most
-    64 items is one leaf.
+    numpy's ``add.reduce`` over a power-of-two N sums leaves of ``leaf``
+    items (``_COMPLEX_LEAF`` for complex128, ``_FLOAT_LEAF`` for float64)
+    and adds sibling sums pairwise up a balanced tree; ``amps.mean()``
+    divides that sum by N. Every leaf and subtree without a marked item has
+    the same sum at its height, so only the leaves that hold marked items
+    and their ancestors are computed: O(log N) numpy calls per sum, over
+    ``leaf`` items per marked-holding leaf at the bottom and one entry per
+    marked-holding node above. An array of at most ``leaf`` items is one
+    leaf, and one without marked items is all clean subtrees.
     """
 
-    def __init__(self, num_qubits: int, indices: np.ndarray) -> None:
+    def __init__(self, num_qubits: int, indices: np.ndarray, leaf: int) -> None:
         dim = 1 << num_qubits
-        width = min(dim, _LEAF)
+        width = min(dim, leaf)
         leaves, row = np.unique(indices // width, return_inverse=True)
         # Which items of each marked-holding leaf are marked.
         self.mask = np.zeros((len(leaves), width), dtype=bool)
@@ -105,7 +107,7 @@ class _TwoValueSum:
             self.levels.append((len(parents), 2 * pos + (ids & 1)))
             ids = parents
 
-    def __call__(self, unmarked: np.complex128, marked: np.complex128) -> np.complex128:
+    def __call__(self, unmarked: np.number, marked: np.number) -> np.number:
         # Each reduce here starts from +0.0, as the whole-array reduce does.
         # That can only turn a -0.0 node sum into +0.0, which the whole-array
         # reduce does to its root anyway.
@@ -116,7 +118,7 @@ class _TwoValueSum:
             children[slots] = dirty
             dirty = children[0::2] + children[1::2]
             clean = clean + clean
-        return dirty[0]
+        return dirty[0] if len(dirty) else clean
 
 
 def run_grover_pair(
@@ -141,7 +143,7 @@ def run_grover_pair(
     rounds = iteration_count(dim, len(indices))
     vals = np.full(2, 1.0 / math.sqrt(dim), dtype=np.complex128)
     if rounds:
-        total = _TwoValueSum(num_qubits, indices)
+        total = _TwoValueSum(num_qubits, indices, _COMPLEX_LEAF)
         for _ in range(rounds):
             vals[1:] *= -1.0
             vals = 2.0 * (total(*vals) / dim) - vals

@@ -9,9 +9,10 @@ odd stride-2 slices of one array.
 All operations are pure: they return new values and never mutate their
 inputs. Every measurement is an inverse-CDF draw over the cumulative
 outcome masses (``sample_cdf``). The two measurement operations take one
-uniform from a caller-supplied numpy ``Generator``; the trial engine hands
-``sample_cdf`` whole arrays of uniforms instead, with the same arithmetic,
-so a fixed seed fully determines every outcome either way.
+uniform from a caller-supplied numpy ``Generator``; the trial engine keeps
+the masses as segments and samples whole arrays of uniforms with a
+sampler that equals ``sample_cdf`` on the expanded masses, so a fixed seed
+fully determines every outcome either way.
 """
 
 from __future__ import annotations
@@ -200,10 +201,11 @@ def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarra
     """Inverse-CDF draw from cumulative outcome masses (not necessarily
     normalized); zero-probability outcomes are never selected.
 
-    Every measurement in the package draws through this routine: each
-    uniform variate in [0, 1), a float or an array of them, is scaled by the
-    total mass and located with a right-sided binary search. Returns an int
-    for a float and an index array of the same shape for an array.
+    The dense measurements draw through this routine, and the trial
+    engine's segment sampler is defined by it: each uniform variate in
+    [0, 1), a float or an array of them, is scaled by the total mass and
+    located with a right-sided binary search. Returns an int for a float
+    and an index array of the same shape for an array.
     """
     total = cdf[-1]
     if total <= 0.0:

@@ -33,6 +33,27 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+def cli_peak_rss_mib(*argv: str) -> tuple[int, float]:
+    """Run ``python -m probegrover.cli`` in a fresh interpreter, discarding its
+    output; return its exit code and peak resident set size in MiB.
+
+    A child's ``ru_maxrss`` starts from its parent's resident size at the
+    fork, so a small launcher interpreter forks the CLI and reads its
+    usage through ``os.wait4`` (Linux reports ``ru_maxrss`` in KiB).
+    """
+    launcher = (
+        "import os, subprocess, sys\n"
+        f"child = subprocess.Popen([sys.executable, '-m', 'probegrover.cli', *{list(argv)!r}],"
+        " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "child.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(child.returncode, usage.ru_maxrss)\n"
+    )
+    result = run_python(launcher)
+    code, kib = result.stdout.split()
+    return int(code), int(kib) / 1024
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run ``python -c code`` in a fresh interpreter that imports this package."""
     return subprocess.run(
@@ -75,6 +96,17 @@ class FixedDraw:
 
     def random(self) -> float:
         return self.value
+
+
+def expand(cdf):
+    """The dense cumulative mass array a ``SegmentedCdf`` stands for (None
+    stays None): ``first[k] + j * step[k]`` for j below ``count[k]``,
+    segment after segment."""
+    if cdf is None:
+        return None
+    start = np.cumsum(cdf.count) - cdf.count
+    offsets = np.arange(cdf.size) - np.repeat(start, cdf.count)
+    return np.repeat(cdf.first, cdf.count) + offsets * np.repeat(cdf.step, cdf.count)
 
 
 def norm_sq(amplitudes: np.ndarray) -> float:

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from helpers import run_cli, run_python
+from helpers import cli_peak_rss_mib, run_cli, run_python
 from probegrover import InvariantError, ProtocolError, UsageError, cli, distributed
 from probegrover.cli import emit_report, run_command
 
@@ -186,14 +186,28 @@ class TestIoErrors:
 def test_cli_run_never_imports_numpy_random(tmp_path):
     # Every draw comes from seeding.first_draws, so a CLI run needs no numpy
     # Generator; importing numpy.random alone adds several MiB of peak RSS.
+    # Nor does it need numpy.ma, which np.unique without index outputs
+    # imports (about 12 ms and 0.6 MiB).
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
     result = run_python(
         "import sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
-    assert result.stdout == "0 False\n", result.stderr
+    assert result.stdout == "0 False False\n", result.stderr
+
+
+def test_largest_slice_runs_in_bounded_memory():
+    # One 2^24-item slice: a float buffer of its masses alone would be 128
+    # MiB (the child peaked at 158 MiB with one). Its segments leave the
+    # child near the import floor of about 28 MiB.
+    code, peak_mib = cli_peak_rss_mib(
+        "--db-size", "16777216", "--subsystems", "1", "--marked", "12345",
+        "--strategy", "probe", "--trials", "1", "--seed", "1",
+    )
+    assert code == 0
+    assert peak_mib < 64
 
 
 class TestInternalErrors:

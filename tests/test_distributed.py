@@ -31,7 +31,7 @@ from probegrover import (
 from probegrover.distributed import prepare, recover_global
 from probegrover.statevector import sample_cdf
 
-from helpers import partitions
+from helpers import expand, partitions
 
 
 def config(
@@ -131,7 +131,8 @@ class TestRunSubsystemProbe:
     def test_no_solution_reads_zero_with_certainty(self):
         prepared = prepared_slice(config(), 0)
         assert prepared.fired_cdf is None
-        assert prepared.cdf[1] == prepared.cdf[0]  # no mass on the probe reading 1
+        cdf = expand(prepared.cdf)
+        assert cdf[1] == cdf[0]  # no mass on the probe reading 1
         assert prepared.ledger == CostLedger(
             qubits_measured=1, quantum_oracle_calls=1, grover_iterations=0
         )
@@ -140,15 +141,16 @@ class TestRunSubsystemProbe:
 
     def test_certain_detection_at_four_items(self):
         prepared = prepared_slice(config(marked=(11,)), 2)
-        assert sample_cdf(prepared.cdf, np.random.default_rng(0).random()) == 1
-        register = np.diff(prepared.fired_cdf, prepend=0.0)
+        assert sample_cdf(expand(prepared.cdf), np.random.default_rng(0).random()) == 1
+        register = np.diff(expand(prepared.fired_cdf), prepend=0.0)
         np.testing.assert_allclose(register, [0, 0, 0, 1], atol=1e-12)
         assert prepared.ledger.quantum_oracle_calls == 2
 
     def test_detection_rate_matches_closed_form(self):
         (prepared,), _ = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
         trials = 10_000
-        hits = sum(sample_cdf(prepared.cdf, child_rng(99, t).random()) for t in range(trials))
+        cdf = expand(prepared.cdf)
+        hits = sum(sample_cdf(cdf, child_rng(99, t).random()) for t in range(trials))
         expected = success_probability(256, 1, 12)
         assert abs(hits / trials - expected) < 0.01
 
@@ -195,31 +197,33 @@ class TestFindWinner:
 class TestRecoverGlobal:
     def test_offset_arithmetic(self):
         prepared = prepared_slice(config(), 2)
-        assert recover_global(prepared, 2, 1, 0.5) == 10
+        assert recover_global(config(), prepared, 2, 1, 0.5) == 10
         # One call per slice covers every trial it won.
         uniforms = np.array([0.0, 0.5, 0.999])
-        assert recover_global(prepared, 2, np.ones(3, dtype=int), uniforms).tolist() == [10] * 3
+        recovered = recover_global(config(), prepared, 2, np.ones(3, dtype=int), uniforms)
+        assert recovered.tolist() == [10] * 3
 
     def test_round_trip_over_all_slices_and_indices(self):
         # Four-item slices amplify exactly, so recovery is certain.
         for marked in range(16):
-            winner = prepared_slice(config(marked=(marked,)), marked // 4)
-            assert recover_global(winner, marked // 4, 1, 0.5) == marked
+            cfg = config(marked=(marked,))
+            winner = prepared_slice(cfg, marked // 4)
+            assert recover_global(cfg, winner, marked // 4, 1, 0.5) == marked
 
     def test_requires_probe_one(self):
         prepared = prepared_slice(config(), 2)
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(prepared, 2, 0, 0.5)
+            recover_global(config(), prepared, 2, 0, 0.5)
         with pytest.raises(ProtocolError, match="read 1"):
-            recover_global(prepared, 2, np.array([1, 0]), np.array([0.5, 0.5]))
+            recover_global(config(), prepared, 2, np.array([1, 0]), np.array([0.5, 0.5]))
 
     def test_requires_retained_state(self):
-        for sub_id, prepared in (
-            (0, prepared_slice(config(), 0)),  # no solution: the probe cannot fire
-            (2, prepared_slice(config(strategy=SEMICLASSICAL_VERIFY), 2)),  # no probe at all
+        for sub_id, cfg in (
+            (0, config()),  # no solution: the probe cannot fire
+            (2, config(strategy=SEMICLASSICAL_VERIFY)),  # no probe at all
         ):
             with pytest.raises(ProtocolError, match="retained"):
-                recover_global(prepared, sub_id, 1, 0.5)
+                recover_global(cfg, prepared_slice(cfg, sub_id), sub_id, 1, 0.5)
 
 
 class TestProbeStrategy:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probegrover import (
     apply_diffusion,
@@ -18,7 +20,7 @@ from probegrover import (
     run_grover,
     success_probability,
 )
-from probegrover.grover import _TwoValueSum
+from probegrover.grover import _COMPLEX_LEAF, _FLOAT_LEAF, _TwoValueSum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -191,10 +193,56 @@ def test_two_value_sum_replays_numpy_reduce(num_qubits):
     ]
     for marked in marked_sets:
         indices = np.array(sorted(marked))
-        total = _TwoValueSum(num_qubits, indices)
+        total = _TwoValueSum(num_qubits, indices, _COMPLEX_LEAF)
         for unmarked, hit in value_pairs:
             amps = np.full(size, unmarked)
             amps[indices] = hit
             replayed = total(np.complex128(unmarked), np.complex128(hit))
             assert bits(replayed).tolist() == bits(np.add.reduce(amps)).tolist()
             assert bits(replayed / size).tolist() == bits(amps.mean()).tolist()
+
+
+@st.composite
+def two_valued_registers(draw) -> tuple[int, list[int]]:
+    """A register size up to 2^20 and its sorted marked indices: none, one,
+    all, the items on leaf edges of both widths, or a random set."""
+    num_qubits = draw(st.integers(1, 20))
+    size = 1 << num_qubits
+    shape = draw(st.sampled_from(["none", "one", "all", "edges", "random"]))
+    if shape == "none":
+        return num_qubits, []
+    if shape == "one":
+        return num_qubits, [draw(st.integers(0, size - 1))]
+    if shape == "all":
+        return num_qubits, list(range(size))
+    if shape == "edges":
+        edges = {0, 63, 64, 127, 128, 255, 256, size // 2 - 1, size // 2, size - 128, size - 64}
+        return num_qubits, sorted(i for i in edges | {size - 1} if 0 <= i < size)
+    count = draw(st.integers(1, min(size, 300)))
+    return num_qubits, sorted(draw(st.randoms(use_true_random=False)).sample(range(size), count))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    two_valued_registers(),
+    st.sampled_from([(np.complex128, _COMPLEX_LEAF), (np.float64, _FLOAT_LEAF)]),
+    st.lists(st.floats(-1e200, 1e200), min_size=4, max_size=4),
+)
+@example((20, []), (np.float64, _FLOAT_LEAF), [0.5, 0.0, 3.0, 0.0])  # no marked item
+@example((20, list(range(1 << 20))), (np.float64, _FLOAT_LEAF), [0.1, 0.0, 0.2, 0.0])  # K=N
+@example((7, [0, 127]), (np.float64, _FLOAT_LEAF), [0.0, 0.0, 1e-3, 0.0])  # one float leaf
+@example((20, [63, 64, 127, 128]), (np.complex128, _COMPLEX_LEAF), [1.0, -0.0, -2.0, 0.0])
+def test_two_value_sum_replays_add_reduce_at_both_leaf_widths(register, kind, parts):
+    # The float width is the probe's branch sums; fails if numpy changes the
+    # blocking of its pairwise sum for either dtype.
+    num_qubits, marked = register
+    dtype, leaf = kind
+    if dtype is np.complex128:
+        unmarked, hit = dtype(complex(*parts[:2])), dtype(complex(*parts[2:]))
+    else:
+        unmarked, hit = dtype(parts[0]), dtype(parts[2])
+    indices = np.array(marked, dtype=np.intp)
+    dense = np.full(1 << num_qubits, unmarked)
+    dense[indices] = hit
+    replayed = _TwoValueSum(num_qubits, indices, leaf)(unmarked, hit)
+    assert bits(replayed).tolist() == bits(np.add.reduce(dense)).tolist()

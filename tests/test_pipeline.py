@@ -238,9 +238,9 @@ def test_recovery_is_sampled_once_per_preparation_per_chunk(monkeypatch):
     cfg = ExperimentConfig(256, 64, frozenset(range(0, 256, 4)), PROBE, seed=1, trials=3)
     calls, recover_global = [], distributed.recover_global
 
-    def counting_recover_global(prepared, sub_id, probe_bit, uniform):
+    def counting_recover_global(config, prepared, sub_id, probe_bit, uniform):
         calls.append(np.size(sub_id))
-        return recover_global(prepared, sub_id, probe_bit, uniform)
+        return recover_global(config, prepared, sub_id, probe_bit, uniform)
 
     monkeypatch.setattr(distributed, "recover_global", counting_recover_global)
     reports = list(iter_trials(cfg))

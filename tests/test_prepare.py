@@ -1,12 +1,13 @@
 """What ``prepare`` keeps per distinct slice: pinned bytes at the size the
-benchmark runs, every mass equal to the dense chain's bit for bit, one
+benchmark runs, every mass equal to the dense chain's bit for bit, segments
+that replay ``np.cumsum`` and sample as the dense array does, one
 preparation per distinct local marked set that ``partition`` hands out, and
-no more memory than the masses it keeps, nor draws whose memory grows with the
-repeat rounds."""
+memory that grows with neither the slice size nor the repeat rounds."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from probegrover import (
     ALL_STRATEGIES,
     ExperimentConfig,
+    InvariantError,
     PROBE,
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
@@ -28,13 +30,15 @@ from probegrover import (
 )
 from probegrover import distributed
 from probegrover.distributed import prepare, summarize_trials
+from probegrover.grover import run_grover_pair
 from probegrover.statevector import collapse_probe, probe_branch_masses
 
-from helpers import partitions
+from helpers import expand, partitions
 
 
-def digest(values: np.ndarray | None) -> str | None:
-    return None if values is None else hashlib.sha256(values.tobytes()).hexdigest()
+def digest(cdf) -> str | None:
+    """sha256 of the dense cumulative masses a preparation stands for."""
+    return None if cdf is None else hashlib.sha256(expand(cdf).tobytes()).hexdigest()
 
 
 # sha256 of (cdf, fired_cdf) bytes for each distinct preparation, in the
@@ -111,21 +115,28 @@ def test_prepared_masses_match_dense_chain_bit_for_bit(num_qubits):
                 strategy, num_qubits, frozenset(marked), 2
             )
             expected_cdf, expected_fired = dense_masses(strategy, num_qubits, marked)
-            assert bits(cdf) == bits(expected_cdf), (strategy, count)
-            assert bits(fired) == bits(expected_fired), (strategy, count)
+            assert bits(expand(cdf)) == bits(expected_cdf), (strategy, count)
+            assert bits(expand(fired)) == bits(expected_fired), (strategy, count)
 
 
 @pytest.mark.parametrize(
     "strategy, db_size, num_subsystems",
-    [(PROBE, 1 << 20, 1), (PROBE, 1 << 20, 4), (SEQUENTIAL, 1 << 20, 4), (PROBE, 1 << 17, 1 << 16)],
-    ids=["probe-1", "probe-4", "sequential-4", "probe-65536-n2^17"],
+    [
+        (PROBE, 1 << 20, 1),
+        (PROBE, 1 << 20, 4),
+        (SEQUENTIAL, 1 << 20, 4),
+        (PROBE, 1 << 17, 1 << 16),
+        (PROBE, 1 << 24, 1),
+    ],
+    ids=["probe-1", "probe-4", "sequential-4", "probe-65536-n2^17", "probe-1-n2^24"],
 )
 def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
     strategy, db_size, num_subsystems
 ):
-    # At N=2^20 a complex register alone is 16 MiB and the probe's joint
-    # state 32 MiB: the bound admits neither, only the kept float masses.
-    # At 2^16 two-item slices it admits no Python object per slice.
+    # The masses are O(K + log N) segments, so the bound is far below one
+    # float per item: a constant 64 KiB whatever the slice size (a 2^24-item
+    # float buffer alone is 128 MiB), plus the 8-byte slice map. At 2^16
+    # two-item slices it admits no Python object per slice.
     cfg = ExperimentConfig(db_size, num_subsystems, frozenset({12345}), strategy, seed=1)
     tracemalloc.start()
     try:
@@ -133,7 +144,7 @@ def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (db_size // len(which)) * len(preparations) + (1 << 20)
+    assert peak <= 8 * len(which) + (64 << 10)
 
 
 def test_draw_memory_does_not_grow_with_repeat_rounds():
@@ -155,6 +166,57 @@ def test_draw_memory_does_not_grow_with_repeat_rounds():
     assert peak(31) <= peak(3) + (256 << 10)
 
 
+# Masses: zero, any float in [0, 1], or a dyadic whose lowest set bit makes
+# an addition tie halfway between two floats in some binade the sums pass.
+masses = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.builds(math.ldexp, st.integers(1, 2**53 - 1), st.integers(-110, -53)),
+)
+
+
+@st.composite
+def two_valued_masses(draw) -> tuple[int, np.ndarray, float, float]:
+    """A size up to 2^20, sorted marked indices, and the two masses: drawn,
+    or the engine's own register masses after the Grover loop."""
+    num_qubits = draw(st.integers(1, 20))
+    size = 1 << num_qubits
+    count = draw(st.sampled_from([0, 1, size]) | st.integers(0, min(size, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    marked = np.sort(rng.choice(size, count, replace=False)).tolist()
+    if draw(st.booleans()):
+        unmarked, hit = np.abs(run_grover_pair(num_qubits, marked)[0]) ** 2
+    else:
+        unmarked, hit = draw(masses), draw(masses)
+    return size, np.array(marked, dtype=np.intp), float(unmarked), float(hit)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(two_valued_masses(), st.integers(0, 2**32))
+@example((8, np.array([3]), 0.0, 0.0), 0)  # zero total mass
+@example((1 << 20, np.array([12345]), 2.0**-20, 0.5), 1)
+@example((16, np.arange(16), 0.0, math.ldexp(3, -60)), 2)  # K=N
+def test_segments_replay_cumsum_and_sample_as_the_dense_array(args, seed):
+    size, indices, unmarked, hit = args
+    cdf = distributed._two_valued_cumsum(size, indices, unmarked, hit)
+    dense = np.full(size, unmarked)
+    dense[indices] = hit
+    expected = np.cumsum(dense)
+    assert bits(expand(cdf)) == bits(expected)
+    if expected[-1] <= 0.0:
+        with pytest.raises(InvariantError, match="zero total mass"):
+            cdf.sample(0.5)
+        return
+    # u = 0, the largest uniform below 1, every segment end over the total,
+    # and random uniforms.
+    uniforms = np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], cdf.last / cdf.last[-1], np.random.default_rng(seed).random(500)]
+    )
+    drawn = np.minimum(np.searchsorted(expected, uniforms * expected[-1], side="right"), size - 1)
+    assert cdf.sample(uniforms).tolist() == drawn.tolist()
+    assert cdf.sample(float(uniforms[-1])) == drawn[-1]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(partitions(), st.sampled_from([PROBE, SEMICLASSICAL_VERIFY]))
 @example((8, 1, frozenset({3})), PROBE)  # one slice holding a solution
@@ -174,8 +236,8 @@ def test_slice_map_agrees_with_partition(args, strategy):
     assert len(set(shared.values())) == len(shared)
     for local, n in shared.items():
         cdf, fired, ledger = distributed._distributions(strategy, subs[0].num_qubits, local, 1)
-        assert bits(preparations[n].cdf) == bits(cdf)
-        assert bits(preparations[n].fired_cdf) == bits(fired)
+        assert bits(expand(preparations[n].cdf)) == bits(expand(cdf))
+        assert bits(expand(preparations[n].fired_cdf)) == bits(expand(fired))
         assert preparations[n].ledger == ledger
     # No preparation goes unused: none is built for an empty set that no
     # slice holds.
