@@ -20,7 +20,7 @@ from probegrover import (
     run_grover,
     success_probability,
 )
-from probegrover.grover import _COMPLEX_LEAF, _FLOAT_LEAF, _TwoValueSum
+from probegrover.grover import _COMPLEX_LEAF, _FLOAT_LEAF, _SCALAR_NODES, _TwoValueSum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -202,13 +202,34 @@ def test_two_value_sum_replays_numpy_reduce(num_qubits):
             assert bits(replayed / size).tolist() == bits(amps.mean()).tolist()
 
 
+# Marked-holding node counts around the width where a tree level switches
+# from one numpy add to Python scalar additions.
+SWITCH_COUNTS = [_SCALAR_NODES - 1, _SCALAR_NODES, _SCALAR_NODES + 1, 2 * _SCALAR_NODES]
+
+
+def spread(size: int, count: int, offset: int = 0) -> list[int]:
+    """``count`` marked items spaced evenly over ``size`` items, so at 2^20
+    items each sits in its own leaf and its own parent at both widths, at
+    successive offsets inside its leaf."""
+    step = size // count
+    return [i * step + (offset + i) % step for i in range(count)]
+
+
+AT_SWITCH = spread(1 << 20, _SCALAR_NODES)
+ABOVE_SWITCH = spread(1 << 20, _SCALAR_NODES + 1)
+SPACED = list(range(0, 1 << 20, 128))
+
+
 @st.composite
 def two_valued_registers(draw) -> tuple[int, list[int]]:
     """A register size up to 2^20 and its sorted marked indices: none, one,
-    all, the items on leaf edges of both widths, or a random set."""
+    all, the items on leaf edges of both widths, a random set, marks in
+    distinct leaves with as many marked-holding nodes as the levels around
+    the numpy-to-scalar switch have, or every 64th, 128th or 256th item
+    (leaves that share one marked pattern)."""
     num_qubits = draw(st.integers(1, 20))
     size = 1 << num_qubits
-    shape = draw(st.sampled_from(["none", "one", "all", "edges", "random"]))
+    shape = draw(st.sampled_from(["none", "one", "all", "edges", "random", "spread", "spaced"]))
     if shape == "none":
         return num_qubits, []
     if shape == "one":
@@ -218,6 +239,12 @@ def two_valued_registers(draw) -> tuple[int, list[int]]:
     if shape == "edges":
         edges = {0, 63, 64, 127, 128, 255, 256, size // 2 - 1, size // 2, size - 128, size - 64}
         return num_qubits, sorted(i for i in edges | {size - 1} if 0 <= i < size)
+    if shape == "spread":
+        count = min(size, draw(st.sampled_from(SWITCH_COUNTS)))
+        return num_qubits, spread(size, count, draw(st.integers(0, size - 1)))
+    if shape == "spaced":
+        step = draw(st.sampled_from([64, 128, 256]))
+        return num_qubits, list(range(draw(st.integers(0, step - 1)) % size, size, step))
     count = draw(st.integers(1, min(size, 300)))
     return num_qubits, sorted(draw(st.randoms(use_true_random=False)).sample(range(size), count))
 
@@ -232,6 +259,14 @@ def two_valued_registers(draw) -> tuple[int, list[int]]:
 @example((20, list(range(1 << 20))), (np.float64, _FLOAT_LEAF), [0.1, 0.0, 0.2, 0.0])  # K=N
 @example((7, [0, 127]), (np.float64, _FLOAT_LEAF), [0.0, 0.0, 1e-3, 0.0])  # one float leaf
 @example((20, [63, 64, 127, 128]), (np.complex128, _COMPLEX_LEAF), [1.0, -0.0, -2.0, 0.0])
+# Levels just at, and one just above, the numpy-to-scalar switch.
+@example((20, AT_SWITCH), (np.complex128, _COMPLEX_LEAF), [0.3, -1e-9, -0.7, 2.0])
+@example((20, ABOVE_SWITCH), (np.complex128, _COMPLEX_LEAF), [0.3, -1e-9, -0.7, 2.0])
+@example((20, AT_SWITCH), (np.float64, _FLOAT_LEAF), [1e-300, 0.0, 1e300, 0.0])
+@example((20, ABOVE_SWITCH), (np.float64, _FLOAT_LEAF), [1e-300, 0.0, 1e300, 0.0])
+# 8192 leaves that all share one marked pattern.
+@example((20, SPACED), (np.complex128, _COMPLEX_LEAF), [1e-3, 1e-3, -1.0, -0.0])
+@example((20, SPACED), (np.float64, _FLOAT_LEAF), [1e-3, 0.0, 0.5, 0.0])
 def test_two_value_sum_replays_add_reduce_at_both_leaf_widths(register, kind, parts):
     # The float width is the probe's branch sums; fails if numpy changes the
     # blocking of its pairwise sum for either dtype.
@@ -245,4 +280,15 @@ def test_two_value_sum_replays_add_reduce_at_both_leaf_widths(register, kind, pa
     dense = np.full(1 << num_qubits, unmarked)
     dense[indices] = hit
     replayed = _TwoValueSum(num_qubits, indices, leaf)(unmarked, hit)
+    assert type(replayed) is dtype
     assert bits(replayed).tolist() == bits(np.add.reduce(dense)).tolist()
+
+
+@pytest.mark.parametrize("leaf", [_COMPLEX_LEAF, _FLOAT_LEAF])
+@pytest.mark.parametrize("count", SWITCH_COUNTS)
+def test_spread_marks_reach_both_kinds_of_level(leaf, count):
+    # The spread examples above exercise the switch: numpy levels below it
+    # exactly when a level holds more than _SCALAR_NODES marked nodes.
+    total = _TwoValueSum(20, np.array(spread(1 << 20, count)), leaf)
+    assert bool(total.vector_levels) == (count > _SCALAR_NODES)
+    assert total.scalar_adds

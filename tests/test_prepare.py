@@ -147,6 +147,23 @@ def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
     assert peak <= 8 * len(which) + (64 << 10)
 
 
+@pytest.mark.parametrize("strategy", [SEQUENTIAL, PROBE])
+def test_prepare_peak_memory_does_not_grow_with_leaves_sharing_a_pattern(strategy):
+    # 8192 marked items 0, 128, 256, ... at N=2^20 (8 Grover iterations) sit
+    # in 8192 leaves of the pairwise sum that all share one marked pattern.
+    # The leaf sums reduce that pattern once, so the peak is the O(K) mass
+    # segments: 3.0 MiB sequential, 3.1 MiB probe, where a row per marked
+    # leaf peaked at 9.7 and 10.1 MiB.
+    cfg = ExperimentConfig(1 << 20, 1, frozenset(range(0, 1 << 20, 128)), strategy, seed=1)
+    tracemalloc.start()
+    try:
+        prepare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (1 << 20)
+
+
 def test_draw_memory_does_not_grow_with_repeat_rounds():
     # 2^12 slices make every chunk one trial; each round is drawn only where
     # the earlier rounds agreed, so 31 rounds hold no more than 3 do.
