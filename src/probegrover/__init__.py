@@ -1,96 +1,60 @@
-"""Distributed Grover search with probe qubits: simulator and experiment harness."""
+"""Distributed Grover search with probe qubits: simulator and experiment harness.
+
+The public names load on first use (PEP 562), so ``import probegrover``
+loads neither numpy nor any submodule, and a CLI run loads only the
+modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-from .distributed import (
-    ALL_STRATEGIES,
-    ExperimentConfig,
-    PROBE,
-    RunReport,
-    SEMICLASSICAL_REPEAT,
-    SEMICLASSICAL_VERIFY,
-    SEQUENTIAL,
-    SubsystemDescriptor,
-    SubsystemOutcome,
-    find_winner,
-    iter_trials,
-    partition,
-    run_trials,
-    summarize_trials,
-)
-from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
-from .grover import (
-    GroverRunStats,
-    is_power_of_two,
-    iteration_count,
-    run_grover,
-    success_probability,
-)
-from .ledger import (
-    CostLedger,
-    StrategyRow,
-    TrialSummary,
-    compare_strategies,
-    summarize,
-)
-from .seeding import child_rng
-from .statevector import (
-    ComposedState,
-    MeasurementRecord,
-    ProbeOutcome,
-    StateVector,
-    apply_boolean_oracle,
-    apply_diffusion,
-    apply_phase_oracle,
-    compose_with_probe,
-    dense_reference_step,
-    measure_probe,
-    measure_register,
-    new_uniform,
-    state_from_amplitudes,
-)
+# Each public name, mapped to the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        [
+            "ALL_STRATEGIES", "ExperimentConfig", "PROBE", "RunReport",
+            "SEMICLASSICAL_REPEAT", "SEMICLASSICAL_VERIFY", "SEQUENTIAL",
+            "SubsystemDescriptor", "SubsystemOutcome", "find_winner",
+            "iter_trials", "partition", "run_trials", "summarize_trials",
+        ],
+        "distributed",
+    ),
+    **dict.fromkeys(
+        ["ConfigurationError", "InvariantError", "ProtocolError", "UsageError"],
+        "errors",
+    ),
+    **dict.fromkeys(
+        [
+            "GroverRunStats", "is_power_of_two", "iteration_count", "run_grover",
+            "success_probability",
+        ],
+        "grover",
+    ),
+    **dict.fromkeys(
+        ["CostLedger", "StrategyRow", "TrialSummary", "compare_strategies", "summarize"],
+        "ledger",
+    ),
+    "child_rng": "seeding",
+    **dict.fromkeys(
+        [
+            "ComposedState", "MeasurementRecord", "ProbeOutcome", "StateVector",
+            "apply_boolean_oracle", "apply_diffusion", "apply_phase_oracle",
+            "compose_with_probe", "dense_reference_step", "measure_probe",
+            "measure_register", "new_uniform", "state_from_amplitudes",
+        ],
+        "statevector",
+    ),
+}
 
-__all__ = [
-    "ALL_STRATEGIES",
-    "ComposedState",
-    "ConfigurationError",
-    "CostLedger",
-    "ExperimentConfig",
-    "GroverRunStats",
-    "InvariantError",
-    "MeasurementRecord",
-    "PROBE",
-    "ProbeOutcome",
-    "ProtocolError",
-    "RunReport",
-    "SEMICLASSICAL_REPEAT",
-    "SEMICLASSICAL_VERIFY",
-    "SEQUENTIAL",
-    "StateVector",
-    "StrategyRow",
-    "SubsystemDescriptor",
-    "SubsystemOutcome",
-    "TrialSummary",
-    "UsageError",
-    "apply_boolean_oracle",
-    "apply_diffusion",
-    "apply_phase_oracle",
-    "child_rng",
-    "compare_strategies",
-    "compose_with_probe",
-    "dense_reference_step",
-    "find_winner",
-    "is_power_of_two",
-    "iter_trials",
-    "iteration_count",
-    "measure_probe",
-    "measure_register",
-    "new_uniform",
-    "partition",
-    "run_grover",
-    "run_trials",
-    "state_from_amplitudes",
-    "success_probability",
-    "summarize",
-    "summarize_trials",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -26,7 +26,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .distributed import (
+from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
+from .ledger import StrategyRow, TrialSummary, compare_strategies
+
+# The CLI makes no BLAS call, so numpy's OpenBLAS needs no (spinning) worker.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .distributed import (  # noqa: E402
     ALL_STRATEGIES,
     ExperimentConfig,
     PROBE,
@@ -35,8 +42,6 @@ from .distributed import (
     SEQUENTIAL,
     summarize_trials,
 )
-from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
-from .ledger import StrategyRow, TrialSummary, compare_strategies
 
 _CLI_STRATEGIES = {
     "probe": (PROBE,),

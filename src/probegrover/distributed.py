@@ -50,12 +50,11 @@ from typing import Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, ProtocolError
-from .grover import _FLOAT_LEAF, _TwoValueSum, is_power_of_two, run_grover_pair
+from .grover import MAX_QUBITS, _FLOAT_LEAF, _TwoValueSum, is_power_of_two, run_grover_pair
 from .ledger import CostLedger, TrialSummary, fold_summary
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
 from .seeding import child_rng, first_draws  # noqa: F401
-from .statevector import MAX_QUBITS
 
 PROBE = "probe"
 SEMICLASSICAL_VERIFY = "semiclassical-verify"

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .statevector import StateVector, _check_num_qubits, _marked_indices
+if TYPE_CHECKING:
+    from .statevector import StateVector
 
+MAX_QUBITS = 24
 # Items per leaf of numpy's pairwise sum: it adds blocks of up to 128
 # doubles with an 8-way unroll and splits anything longer into halves.
 _COMPLEX_LEAF = 64
@@ -46,6 +48,22 @@ class GroverRunStats:
 
     iterations: int = 0
     final_success_probability: float = 0.0
+
+
+def _check_num_qubits(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(
+            f"num_qubits must be between 1 and {MAX_QUBITS}, got {num_qubits}"
+        )
+
+
+def _marked_indices(marked: Iterable[int], num_qubits: int) -> np.ndarray:
+    indices = sorted({int(i) for i in marked})
+    if indices and not (0 <= indices[0] and indices[-1] < (1 << num_qubits)):
+        raise ValueError(
+            f"marked index out of range for {num_qubits} qubits: {indices}"
+        )
+    return np.asarray(indices, dtype=np.intp)
 
 
 def is_power_of_two(n: int) -> bool:
@@ -205,8 +223,11 @@ def run_grover(
     """Run the full search loop on the uniform state.
 
     ``run_grover_pair`` written out as the dense register: the same bytes
-    as the dense oracle+diffusion loop.
+    as the dense oracle+diffusion loop. The dense layer is imported here,
+    so the trial engine, which only needs the pair, never loads it.
     """
+    from .statevector import StateVector
+
     vals, indices, stats = run_grover_pair(num_qubits, marked)
     amps = np.full(1 << num_qubits, vals[0])
     amps[indices] = vals[1]

@@ -24,8 +24,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvariantError
+# The register checks live with the Grover loop, which the trial engine
+# imports without this module; they stay importable from here.
+from .grover import MAX_QUBITS, _check_num_qubits, _marked_indices  # noqa: F401
 
-MAX_QUBITS = 24
 DENSE_REFERENCE_MAX_QUBITS = 6
 
 
@@ -111,13 +113,6 @@ class ProbeOutcome:
     qubits_measured: int = 1
 
 
-def _check_num_qubits(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be between 1 and {MAX_QUBITS}, got {num_qubits}"
-        )
-
-
 def new_uniform(num_qubits: int) -> StateVector:
     """Uniform superposition over all 2**num_qubits basis states."""
     _check_num_qubits(num_qubits)
@@ -137,15 +132,6 @@ def state_from_amplitudes(amplitudes: Iterable[complex]) -> StateVector:
     if abs(norm_sq - 1.0) > 1e-9:
         raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq!r}")
     return StateVector(num_qubits, amps)
-
-
-def _marked_indices(marked: Iterable[int], num_qubits: int) -> np.ndarray:
-    indices = sorted({int(i) for i in marked})
-    if indices and not (0 <= indices[0] and indices[-1] < (1 << num_qubits)):
-        raise ValueError(
-            f"marked index out of range for {num_qubits} qubits: {indices}"
-        )
-    return np.asarray(indices, dtype=np.intp)
 
 
 def apply_phase_oracle(state: StateVector, marked: Iterable[int]) -> StateVector:

@@ -54,10 +54,17 @@ def cli_peak_rss_mib(*argv: str) -> tuple[int, float]:
     return int(code), int(kib) / 1024
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``python -c code`` in a fresh interpreter that imports this package."""
+def run_python(code: str, **env: str | None) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` in a fresh interpreter that imports this package.
+
+    ``env`` sets variables of the child's environment; None unsets one.
+    """
+    child_env = {**_child_env(), **env}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in child_env.items() if v is not None},
     )
 
 

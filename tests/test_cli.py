@@ -4,11 +4,14 @@ and byte-level determinism."""
 from __future__ import annotations
 
 import csv
+import importlib
 import json
+import os
 import pathlib
 
 import pytest
 
+import probegrover
 from helpers import cli_peak_rss_mib, run_cli, run_python
 from probegrover import InvariantError, ProtocolError, UsageError, cli, distributed
 from probegrover.cli import emit_report, run_command
@@ -187,27 +190,76 @@ def test_cli_run_never_imports_numpy_random(tmp_path):
     # Every draw comes from seeding.first_draws, so a CLI run needs no numpy
     # Generator; importing numpy.random alone adds several MiB of peak RSS.
     # Nor does it need numpy.ma, which np.unique without index outputs
-    # imports (about 12 ms and 0.6 MiB).
+    # imports (about 12 ms and 0.6 MiB). Nor the dense layer (statevector):
+    # the engine works on amplitude pairs and mass segments.
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
     result = run_python(
         "import sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
         "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'probegrover'))\n"
     )
-    assert result.stdout == "0 False False\n", result.stderr
+    assert result.stdout.splitlines() == [
+        "0 False False",
+        "probegrover probegrover.cli probegrover.distributed probegrover.errors "
+        "probegrover.grover probegrover.ledger probegrover.seeding",
+    ], result.stderr
+
+
+def test_bare_import_loads_nothing():
+    # The package exports its names lazily (PEP 562).
+    result = run_python(
+        "import sys, probegrover\n"
+        "print([m for m in sys.modules if m == 'numpy' or m.startswith('probegrover.')])\n"
+    )
+    assert result.stdout == "[]\n", result.stderr
+    for name in probegrover.__all__:
+        module = importlib.import_module(f"probegrover.{probegrover._EXPORTS[name]}")
+        value = getattr(probegrover, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+        assert name in dir(probegrover)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        probegrover.no_such_name
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_process_starts_openblas_without_workers(tmp_path, preset):
+    # The launcher imports nothing before the CLI module runs, as
+    # ``python -m probegrover.cli`` does. Without a user setting the CLI
+    # starts OpenBLAS with one thread, so the process keeps one; a value the
+    # user set is kept.
+    argv = [*BASE, "--strategy", "all", "--trials", "5", "--out", str(tmp_path / "r.json")]
+    result = run_python(
+        "import os, runpy, sys\n"
+        f"sys.argv = ['probegrover', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('probegrover.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n",
+        OPENBLAS_NUM_THREADS=preset,
+    )
+    code, threads, setting = result.stdout.split()
+    assert code == "0", result.stderr
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset
 
 
 def test_largest_slice_runs_in_bounded_memory():
     # One 2^24-item slice: a float buffer of its masses alone would be 128
     # MiB (the child peaked at 158 MiB with one). Its segments leave the
-    # child near the import floor of about 28 MiB.
+    # child near the import floor, about 30 MiB.
     code, peak_mib = cli_peak_rss_mib(
         "--db-size", "16777216", "--subsystems", "1", "--marked", "12345",
         "--strategy", "probe", "--trials", "1", "--seed", "1",
     )
     assert code == 0
-    assert peak_mib < 64
+    assert peak_mib < 40
 
 
 class TestInternalErrors:
