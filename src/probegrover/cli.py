@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -123,9 +124,12 @@ def emit_report(
     """Render the report and write it to a file or stdout.
 
     JSON is the envelope of config echo, summaries, comparison rows, seed
-    and version; CSV is one comparison row per strategy. A file is written
-    under a temporary name in the same directory and renamed into place,
-    so the destination never holds a partial report.
+    and version; CSV is one comparison row per strategy. The destination's
+    symlinks are resolved. A missing or regular file is written under a
+    temporary name beside it and renamed into place, so it never holds a
+    partial report and a link to it stays a link. Anything else (a FIFO, a
+    device, a terminal) is written in place, because a rename would replace
+    it.
     """
     if output_format == "json":
         payload = {
@@ -146,10 +150,18 @@ def emit_report(
     if destination is None:
         sys.stdout.write(rendered)
         return
-    partial = destination.with_name(f".{destination.name}.{os.getpid()}.tmp")
+    target = Path(os.path.realpath(destination))
+    try:
+        replaceable = stat.S_ISREG(target.stat().st_mode)
+    except FileNotFoundError:
+        replaceable = True
+    if not replaceable:
+        target.write_text(rendered)
+        return
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         partial.write_text(rendered)
-        os.replace(partial, destination)
+        os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
 

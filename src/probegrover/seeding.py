@@ -8,21 +8,28 @@ alone or inside a combined batch.
 
 ``child_rng`` builds one stream: numpy's ``SeedSequence`` with the key as
 its spawn key, feeding ``PCG64``. Most streams are read exactly once, so
-``first_draws`` computes the first ``random()`` of many keys at once. Every
-step of that path is fixed integer arithmetic (SeedSequence's hash/mix
-pool and ``generate_state``, PCG64 seeding and one XSL-RR output), which
-``first_draws`` repeats on numpy arrays; the two agree bit for bit, and the
-tests compare them on every seed class.
+``first_draws`` computes the first ``random()`` of many keys at once by
+repeating that fixed integer arithmetic on numpy arrays; the two agree bit
+for bit, and the tests compare them on every seed class. The SeedSequence
+pool is held as four uint32 lanes, a (4, n) array whose products wrap mod
+2**32 as numpy's do, so one operation hashes and mixes a key word into all
+four pool words of every row; a key column that is the same on every row
+is hashed once, at shape (4, 1). PCG64 seeds with state 0 and
+inc = (initseq << 1) | 1, steps, adds initstate and steps again, and the
+first draw steps once more. Each step is s -> s*m + inc, so the state it
+outputs from is inc*(m**2 + m + 1) + initstate*m**2 mod 2**128: two
+products with constants, computed on 64-bit words.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 _M32 = 0xFFFFFFFF
 
 # SeedSequence constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -30,13 +37,21 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 
-# PCG64 (numpy/random/src/pcg64/pcg64.h) seeds with state 0 and
-# inc = (initseq << 1) | 1, steps, adds initstate and steps again; the first
-# draw steps once more. Each step is s -> s*m + inc, so the state the first
-# draw outputs from is (inc + initstate)*m^2 + inc*(m + 1) mod 2^128.
+# The hash constant advances once per pool word: a word absorbed from
+# constant c is xored into lane d with c*MULT_A**d and multiplied by
+# c*MULT_A**(d + 1), leaving c*MULT_A**4 for the next word.
+_ABSORB = np.array([[pow(_MULT_A, d, 1 << 32)] for d in range(5)], np.uint32)
+# generate_state(4, uint64) hashes eight words cycling over the lanes with
+# its own constant, which starts at INIT_B.
+_STATE = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)], np.uint32)
+_STATE_XOR, _STATE_MULT = _STATE[:8].reshape(2, 4, 1), _STATE[1:].reshape(2, 4, 1)
+
+# PCG64 (numpy/random/src/pcg64/pcg64.h): the two rows multiply initstate
+# and inc, as high and low 64-bit words and the low word's 32-bit halves.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_MULT = _PCG_MULT * _PCG_MULT % (1 << 128)
-_INC_MULT = _PCG_MULT + 1
+_FOLD = [_PCG_MULT**2 % (1 << 128), (_PCG_MULT**2 + _PCG_MULT + 1) % (1 << 128)]
+_FOLD_HI, _FOLD_LO = np.array([divmod(c, 1 << 64) for c in _FOLD], np.uint64).T[:, :, None]
+_FOLD_LO0, _FOLD_LO1 = _FOLD_LO & _M32, _FOLD_LO >> 32
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -63,112 +78,90 @@ def first_draws(master_seed: int, keys) -> np.ndarray:
         raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
     if keys.dtype.kind == "i" and (keys < 0).any():
         raise ValueError("key elements must be non-negative")
-    pool, const = _seed_pool(master_seed)
-    for column in keys.astype(np.uint64).T:
-        pool, const = _absorb(pool, [column & _M32], const)
+    pool, const = _seed_pool(operator.index(master_seed))
+    for column in keys.T:
+        if (column == column[:1]).all():
+            column = column[:1]
+        pool, const = _absorb(pool, column.astype(np.uint32), const)
         wide = column > _M32
         if wide.any():
             # The hash constant advances per word, so from here on it is per row.
-            high, high_const = _absorb(pool, [column >> 32], const)
-            pool = [np.where(wide, h, p) for h, p in zip(high, pool)]
-            const = np.where(wide, high_const, const).astype(np.uint64)
-    return _first_double(pool)
+            high, high_const = _absorb(pool, (column >> 32).astype(np.uint32), const)
+            pool = np.where(wide, high, pool)
+            const = np.where(wide, high_const, const)
+    # A draw per row, or one for all rows when every column was constant.
+    return np.resize(_first_double(pool), len(keys))
 
 
-def _hashmix(value, const):
-    """SeedSequence's hashmix of one word; also returns the next constant.
-
-    Takes Python ints and uint64 arrays alike: every product is masked to
-    32 bits, which is the uint32 arithmetic numpy does.
-    """
-    nxt = const * _MULT_A & _M32
-    value = (value ^ const) * nxt & _M32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x, y):
-    value = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
-    return value ^ value >> 16
+def _absorb(pool: np.ndarray, word: np.ndarray, const: np.ndarray):
+    """Hash one uint32 word per row from the constants ``const`` and mix it
+    into every lane of ``pool``; also returns the next constants."""
+    consts = const * _ABSORB
+    hashed = (word ^ consts[:4]) * consts[1:]
+    hashed ^= hashed >> 16
+    hashed *= _MIX_MULT_R
+    mixed = pool * _MIX_MULT_L - hashed
+    mixed ^= mixed >> 16
+    return mixed, consts[4]
 
 
-def _absorb(pool: list, words, const) -> tuple[list, int]:
-    """Mix entropy words past the pool size into every pool word."""
-    pool = list(pool)
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool, const
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
+def _seed_pool(seed: int):
     """SeedSequence's pool after the run entropy of ``seed`` (padded to the
-    pool size, as for any sequence with a spawn key), and the hash constant
-    the spawn-key words continue from."""
-    entropy = [seed & _M32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _M32)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    pool, const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return _absorb(pool, entropy[_POOL_SIZE:], const)
+    pool size, as for any sequence with a spawn key) as (4, 1) lanes, and the
+    hash constant the spawn-key words continue from, in Python ints."""
+    entropy = [seed >> 32 * i & _M32 for i in range(max(-(-seed.bit_length() // 32), 4))]
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        const, value = const * _MULT_A & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(lane, hashmix(word)) for lane in pool]
+    return np.array(pool, np.uint32)[:, None], np.array([const], np.uint32)
 
 
-def _first_double(pool: list) -> np.ndarray:
+def _first_double(pool: np.ndarray) -> np.ndarray:
     """First ``random()`` of PCG64 seeded by ``generate_state(4, uint64)`` of
-    the given pool words (uint64 arrays holding 32-bit values)."""
-    # generate_state: eight 32-bit words cycling over the pool, read in
-    # little-endian pairs as four uint64 words: initstate is words 0 (high)
-    # and 1 (low), initseq words 2 and 3.
-    const, state = _INIT_B, []
-    for i in range(8):
-        nxt = const * _MULT_B & _M32
-        value = (pool[i % _POOL_SIZE] ^ const) * nxt & _M32
-        state.append(value ^ value >> 16)
-        const = nxt
-    initstate = [state[2], state[3], state[0], state[1]]  # 32-bit limbs, low first
-    initseq = [state[6], state[7], state[4], state[5]]
-    inc = [initseq[0] << 1 & _M32 | 1] + [
-        (initseq[k] << 1 | initseq[k - 1] >> 31) & _M32 for k in range(1, 4)
-    ]
-    start = _carry([a + b for a, b in zip(inc, initstate)])
-    s = _carry(
-        [a + b for a, b in zip(_times(start, _STATE_MULT), _times(inc, _INC_MULT))]
-    )
+    the (4, n) pool lanes."""
+    words = (pool ^ _STATE_XOR) * _STATE_MULT
+    words ^= words >> 16
+    # Little-endian pairs of words: initstate high, low; initseq high, low.
+    pairs = words.reshape(4, 2, pool.shape[1])
+    state = pairs[:, 1].astype(np.uint64)
+    state <<= 32
+    state |= pairs[:, 0]
+    del words, pairs  # freed before the 64-bit temporaries
+    top = state[3] >> 63  # inc = initseq << 1 | 1 in rows 2 and 3
+    state[2:] <<= 1
+    state[2] |= top
+    state[3] |= 1
+    high, low = state[0::2], state[1::2]
+    # (high, low) * _FOLD mod 2**128; the product's carry into the high
+    # word is that of low * _FOLD_LO, summed from 32-bit halves.
+    low0, low1 = low & _M32, low >> 32
+    carry = (low0 * _FOLD_LO0 >> 32) + low1 * _FOLD_LO0
+    low0 *= _FOLD_LO1
+    low0 += carry & _M32
+    high *= _FOLD_LO
+    high += (carry >> 32) + (low0 >> 32) + low1 * _FOLD_LO1 + low * _FOLD_HI
+    low *= _FOLD_LO
+    del low0, low1, carry
+    s_low = low[0] + low[1]
+    s_high = high[0] + high[1] + (s_low < low[0])
     # XSL-RR output, then the 53 high bits as a double in [0, 1).
-    x = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
-    rot = s[3] >> 26
-    x = x >> rot | x << (64 - rot & 63)
+    s_low ^= s_high
+    s_high >>= 58
+    x = s_low >> s_high | s_low << (64 - s_high & 63)
     return (x >> 11) * (1.0 / 9007199254740992.0)
-
-
-def _times(limbs: list, const: int) -> list:
-    """Column sums of limbs * const mod 2**128, before carrying: each column
-    adds at most seven 32-bit halves of 64-bit limb products."""
-    cols = [0] * 4
-    for j in range(4):
-        c = const >> 32 * j & _M32
-        for i in range(4 - j):
-            product = limbs[i] * c
-            cols[i + j] = cols[i + j] + (product & _M32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (product >> 32)
-    return cols
-
-
-def _carry(cols: list) -> list:
-    """Propagate carries so every limb holds 32 bits, dropping bits past 2**128."""
-    limbs, carry = [], 0
-    for col in cols:
-        col = col + carry
-        limbs.append(col & _M32)
-        carry = col >> 32
-    return limbs

@@ -8,6 +8,8 @@ import importlib
 import json
 import os
 import pathlib
+import stat
+import threading
 
 import pytest
 
@@ -184,6 +186,44 @@ class TestIoErrors:
         assert "cannot write" in capsys.readouterr().err
         assert out.read_text() == "previous report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_symlink_destination_stays_a_link(self, tmp_path, capsys):
+        argv = [*BASE, "--strategy", "probe", "--trials", "2"]
+        assert run_command(argv) == 0
+        report = capsys.readouterr().out
+        target = tmp_path / "target.json"
+        target.write_text("previous report\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run_command([*argv, "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text() == report
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_fifo_destination_is_written_in_place(self, tmp_path, capsys):
+        argv = [*BASE, "--strategy", "probe", "--trials", "2"]
+        assert run_command(argv) == 0
+        report = capsys.readouterr().out
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run_command([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [report]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+    def test_directory_destination_exits_4_without_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        out.mkdir()
+        code = run_command([*BASE, "--strategy", "probe", "--trials", "2", "--out", str(out)])
+        assert code == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+        assert not any(out.iterdir())
 
 
 def test_cli_run_never_imports_numpy_random(tmp_path):

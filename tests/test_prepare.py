@@ -183,6 +183,27 @@ def test_draw_memory_does_not_grow_with_repeat_rounds():
     assert peak(31) <= peak(3) + (256 << 10)
 
 
+def test_hash_temporaries_of_one_key_block():
+    # One _BLOCK_KEYS call in _uniforms' key shape: constant slot and stage,
+    # 64 trials x 64 slices. The hash holds its pool as (4, n) uint32 lanes
+    # and the PCG64 step as 64-bit words: about 0.6 MiB, where uint64
+    # arrays per pool word and 32-bit limbs peaked at 1.16 MiB.
+    rows, subs = np.divmod(np.arange(distributed._BLOCK_KEYS), 64)
+    keys = np.empty((len(rows), 4), dtype=np.uint64)
+    keys[:, 0] = 2
+    keys[:, 1] = rows
+    keys[:, 2] = subs
+    keys[:, 3] = 0
+    distributed.first_draws(1, keys)  # warm-up
+    tracemalloc.start()
+    try:
+        distributed.first_draws(1, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * (1 << 20)
+
+
 # Masses: zero, any float in [0, 1], or a dyadic whose lowest set bit makes
 # an addition tie halfway between two floats in some binade the sums pass.
 masses = st.one_of(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probegrover import SEMICLASSICAL_REPEAT, ExperimentConfig
@@ -35,6 +35,17 @@ def test_first_draws_match_child_rng(seed):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Constant first columns, narrow and wide, before varying ones.
+@example(7, [[3, 0, 1], [3, 1, 2**33], [3, 2, 5]])
+@example(2**32, [[2**40 + 3, 0], [2**40 + 3, 2**32 - 1]])
+# A constant column after a varying one.
+@example(0, [[1, 7, 9], [2, 7, 9], [3, 7, 9]])
+# Columns wide in some rows only, first and later, then a constant column.
+@example(5, [[2**40, 1], [5, 1], [2**64 - 1, 2]])
+@example(2**100 + 1, [[1, 2**32, 3], [1, 7, 3], [2, 2**50, 3]])
+@example(11, [[2**32 + 1, 0, 7]])
+@example(3, np.array([[1, 2**40, 3], [0, 5, 2**62]], dtype=np.int64))
+@example(9, (np.arange(48, dtype=np.uint64).reshape(6, 8) << np.uint64(29))[::2, 1::3])
 @given(
     st.integers(0, 2**160),
     st.integers(1, 5).flatmap(
@@ -46,7 +57,7 @@ def test_first_draws_match_child_rng(seed):
     ),
 )
 def test_first_draws_match_child_rng_on_any_key(seed, keys):
-    array = np.array(keys, dtype=np.uint64)
+    array = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.uint64)
     assert np.array_equal(first_draws(seed, array), reference(seed, keys))
 
 
@@ -85,3 +96,12 @@ def test_trial_engine_keys_past_32_bits(first_trial):
 def test_first_draws_rejects_unusable_input(seed, keys):
     with pytest.raises(ValueError):
         first_draws(seed, keys)
+
+
+def test_first_draws_takes_the_seeds_child_rng_takes():
+    keys = [[1, 2], [3, 2**40]]
+    assert np.array_equal(first_draws(np.uint64(2**63), keys), reference(2**63, keys))
+    with pytest.raises(TypeError):
+        child_rng(1.5, 0)
+    with pytest.raises(TypeError):
+        first_draws(1.5, keys)
