@@ -82,33 +82,6 @@ MAX_SUBSYSTEMS = 1 << 16
 
 
 @dataclass(frozen=True)
-class SubsystemDescriptor:
-    """One equal-size slice of the database: global index = offset + local."""
-
-    id: int
-    size: int
-    local_marked: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.size < 2 or not is_power_of_two(self.size):
-            raise ValueError(f"sub-system size must be a power of two >= 2, got {self.size}")
-        if self.id < 0:
-            raise ValueError(f"sub-system id must be non-negative, got {self.id}")
-        for index in self.local_marked:
-            if not 0 <= index < self.size:
-                raise ValueError(f"local marked index {index} out of range [0, {self.size})")
-        object.__setattr__(self, "local_marked", frozenset(self.local_marked))
-
-    @property
-    def offset(self) -> int:
-        return self.id * self.size
-
-    @property
-    def num_qubits(self) -> int:
-        return self.size.bit_length() - 1
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Search problem, strategy, and reproducibility parameters, checked when built."""
 
@@ -162,21 +135,12 @@ class RunReport:
     or nothing at all when no solution exists.
     """
 
-    strategy: str
     config: ExperimentConfig
     winners: tuple[int, ...]
     recovered: tuple[int, ...]
     correct: bool
     total_ledger: CostLedger
     per_subsystem: tuple[SubsystemOutcome, ...]
-
-    @property
-    def winner_subsystem(self) -> int | None:
-        return self.winners[0] if len(self.winners) == 1 else None
-
-    @property
-    def recovered_global_index(self) -> int | None:
-        return self.recovered[0] if len(self.recovered) == 1 else None
 
     @property
     def missed(self) -> bool:
@@ -236,20 +200,24 @@ def _check_repeat_rounds(rounds: int, db_size: int) -> None:
         )
 
 
+def _buckets(size: int, global_marked: Collection[int]) -> tuple[np.ndarray, list]:
+    """The ascending ids of the ``size``-item slices that hold a marked
+    index, and each one's marked indices in local coordinates."""
+    marked = np.sort(np.fromiter(global_marked, np.int64, len(global_marked)))
+    ids, starts = np.unique(marked // size, return_index=True)
+    # np.split of no items gives one piece.
+    local = [frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
+    return ids, local
+
+
 def partition(
     db_size: int, num_subsystems: int, global_marked: Collection[int] = ()
-) -> list[SubsystemDescriptor]:
-    """Split the database into equal power-of-two slices, bucketing the
-    marked indices into them in local coordinates in one pass."""
+) -> dict[int, frozenset[int]]:
+    """Split the database into equal power-of-two slices, mapping each slice
+    id that holds a marked index to those indices in local coordinates."""
     _check_partition(db_size, num_subsystems, global_marked)
-    size = db_size // num_subsystems
-    local: dict[int, set[int]] = {}
-    for g in global_marked:
-        local.setdefault(g // size, set()).add(g % size)
-    return [
-        SubsystemDescriptor(id=i, size=size, local_marked=frozenset(local.get(i, ())))
-        for i in range(num_subsystems)
-    ]
+    ids, local = _buckets(db_size // num_subsystems, global_marked)
+    return dict(zip(ids.tolist(), local))
 
 
 class SegmentedCdf:
@@ -476,10 +444,7 @@ def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
     """
     num_slices = 1 if config.strategy == SEQUENTIAL else config.num_subsystems
     size = config.db_size // num_slices
-    marked = np.sort(np.fromiter(config.global_marked, np.int64, len(config.global_marked)))
-    ids, starts = np.unique(marked // size, return_index=True)
-    # The local sets of the slices in ``ids``; np.split of no items gives one piece.
-    local = [frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
+    ids, local = _buckets(size, config.global_marked)
     distinct = {s: n for n, s in enumerate(dict.fromkeys(local))}
     which = np.full(num_slices, len(distinct), dtype=np.intp)
     which[ids] = [distinct[s] for s in local]
@@ -769,7 +734,6 @@ def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
         )
         for readouts, winners, recovered, correct, qubits, steps in rows:
             yield RunReport(
-                strategy=config.strategy,
                 config=config,
                 winners=tuple(np.flatnonzero(winners).tolist()),
                 recovered=tuple(recovered[winners].tolist()),

@@ -90,9 +90,10 @@ def summarize(reports: Iterable["RunReport"]) -> TrialSummary:
     for report in reports:
         if first is None:
             first = report
-        if report.strategy != first.strategy:
+        if report.config.strategy != first.config.strategy:
             raise UsageError(
-                f"mixed strategies in summary: {first.strategy!r} vs {report.strategy!r}"
+                "mixed strategies in summary: "
+                f"{first.config.strategy!r} vs {report.config.strategy!r}"
             )
         if report.config != first.config:
             raise UsageError("mixed configurations in summary")

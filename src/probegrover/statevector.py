@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvariantError
 # The register checks live with the Grover loop, which the trial engine
-# imports without this module; they stay importable from here.
-from .grover import MAX_QUBITS, _check_num_qubits, _marked_indices  # noqa: F401
+# imports without this module.
+from .grover import _check_num_qubits, _marked_indices
 
 DENSE_REFERENCE_MAX_QUBITS = 6
 

@@ -3,8 +3,10 @@ and byte-level determinism."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -12,6 +14,8 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probegrover
 from helpers import cli_peak_rss_mib, run_cli, run_python
@@ -224,6 +228,62 @@ class TestIoErrors:
         assert "cannot write" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["reports"]
         assert not any(out.iterdir())
+
+
+# Each flag's (valid, invalid) values. Any mix of valid values runs, since
+# every valid marked index fits the smallest valid database. --trials never
+# draws a large count: nothing bounds it yet, and such a run takes hours.
+# --out is left to the tmp_path tests above.
+_FUZZ_FLAGS = {
+    "--db-size": (["16", "32", "64"], ["12", "0", "-16", "1", "1.5", "x", str(2**70)]),
+    "--subsystems": (["1", "2", "4"], ["0", "3", "-2", "64", "x"]),
+    "--marked": (["0", "10", "3,7", "1,1", " 5", "15"], ["", "x", "-1", "64", "3,,7", "1.0"]),
+    "--strategy": (sorted(cli._CLI_STRATEGIES), ["bogus", ""]),
+    "--repeat-rounds": (["2", "3"], ["1", "-3", "x", "1000000"]),
+    "--trials": (["1", "2", "3"], ["0", "-1", "1.5", "x"]),
+    "--seed": (["0", "7", str(2**200 + 17)], ["-1", "x", "1e3"]),
+    "--format": (["json", "csv"], ["xml"]),
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """Every flag, mostly valid, sometimes invalid or left out, in any order,
+    now and then with a stray token."""
+    pairs = []
+    for flag, (valid, invalid) in _FUZZ_FLAGS.items():
+        kind = draw(st.sampled_from(["valid"] * 12 + ["invalid"] * 3 + ["missing"]))
+        if kind != "missing":
+            pairs.append([flag, draw(st.sampled_from(valid if kind == "valid" else invalid))])
+    argv = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    return argv + draw(st.sampled_from([[]] * 14 + [["--bogus"], ["stray"]]))
+
+
+def _run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_command(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_fuzzed_argv_meets_the_failure_contract(argv):
+    # Any exception other than SystemExit escapes run_command and fails the test.
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == "" and out
+        assert _run_captured(argv) == (0, out, "")
+    elif err.startswith("usage: "):
+        assert code == 2 and "\nprobegrover: error: " in err, (argv, err)
+    else:
+        assert err.startswith(("error: ", "internal error: ")), (argv, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
 
 
 def test_cli_run_never_imports_numpy_random(tmp_path):

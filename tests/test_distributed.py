@@ -19,7 +19,6 @@ from probegrover import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
-    SubsystemDescriptor,
     child_rng,
     find_winner,
     iter_trials,
@@ -59,14 +58,12 @@ def prepared_slice(cfg: ExperimentConfig, sub_id: int):
 
 class TestPartition:
     def test_equal_slices_with_running_offsets(self):
-        subs = partition(16, 4)
-        assert [s.offset for s in subs] == [0, 4, 8, 12]
-        assert all(s.size == 4 for s in subs)
-        assert [s.id for s in subs] == [0, 1, 2, 3]
+        # Slice i holds global indices 4i .. 4i + 3.
+        assert partition(16, 4, {0, 3, 4, 7, 8, 11, 12, 15}) == {i: {0, 3} for i in range(4)}
+        assert partition(16, 4) == {}
 
     def test_single_subsystem_degenerates_to_whole_database(self):
-        (sub,) = partition(8, 1)
-        assert sub.offset == 0 and sub.size == 8
+        assert partition(8, 1, {0, 7}) == {0: {0, 7}}
 
     def test_non_dividing_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -80,15 +77,6 @@ class TestPartition:
         with pytest.raises(ConfigurationError, match="at least 2 items"):
             partition(8, 8)
 
-    def test_descriptor_offset_is_derived(self):
-        assert SubsystemDescriptor(id=3, size=4).offset == 12
-        with pytest.raises(ValueError, match="non-negative"):
-            SubsystemDescriptor(id=-1, size=4)
-
-    def test_descriptor_local_marked_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SubsystemDescriptor(id=0, size=4, local_marked=frozenset({4}))
-
     @pytest.mark.parametrize("index", [16, -1])
     def test_marked_outside_database_rejected(self, index):
         # Neither dropped nor wrapped round to the last slice.
@@ -101,28 +89,30 @@ class TestLocalizeMarked:
     to local coordinates."""
 
     def test_shifts_into_local_coordinates(self):
-        assert partition(16, 4, {10})[2].local_marked == {2}
+        assert partition(16, 4, {10}) == {2: {2}}
 
     def test_outside_slice_is_empty(self):
-        assert partition(16, 4, {10})[0].local_marked == frozenset()
+        # A slice without a solution is absent from the map.
+        assert 0 not in partition(16, 4, {10})
 
     def test_multiple_indices(self):
-        assert partition(16, 4, {4, 7})[1].local_marked == {0, 3}
+        assert partition(16, 4, {4, 7})[1] == {0, 3}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(partitions())
 def test_partition_buckets_match_brute_force_filter(args):
+    # The reference for the one bucketing that ``partition`` and ``prepare`` share.
     db_size, num_subsystems, marked = args
-    subs = partition(db_size, num_subsystems, marked)
+    buckets = partition(db_size, num_subsystems, marked)
     size = db_size // num_subsystems
-    assert [s.id for s in subs] == list(range(num_subsystems))
-    for i, sub in enumerate(subs):
-        assert sub.size == size and sub.offset == i * size
-        assert sub.local_marked == {
-            g - i * size for g in marked if i * size <= g < (i + 1) * size
-        }
-    assert {s.offset + local for s in subs for local in s.local_marked} == marked
+    expected = {
+        i: {g - i * size for g in marked if i * size <= g < (i + 1) * size}
+        for i in range(num_subsystems)
+    }
+    assert buckets == {i: local for i, local in expected.items() if local}
+    assert list(buckets) == sorted(buckets)
+    assert all(type(i) is int and type(v) is frozenset for i, v in buckets.items())
 
 
 class TestRunSubsystemProbe:
@@ -229,8 +219,8 @@ class TestRecoverGlobal:
 class TestProbeStrategy:
     def test_certain_recovery_at_four_item_slices(self):
         report = first_trial(config())
-        assert report.winner_subsystem == 2
-        assert report.recovered_global_index == 10
+        assert report.winners == (2,)
+        assert report.recovered == (10,)
         assert report.correct and not report.missed
         assert report.total_ledger.qubits_measured == 6
         assert report.total_ledger.decision_steps == 2
@@ -276,7 +266,7 @@ class TestProbeStrategy:
         assert report.winners == (0, 2)
         assert report.recovered == (1, 10)
         assert report.correct
-        assert report.winner_subsystem is None  # not a unique winner
+        assert len(report.winners) > 1  # not a unique winner
         assert report.total_ledger.qubits_measured == 4 + 2 * 2
 
 

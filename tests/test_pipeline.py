@@ -292,15 +292,18 @@ def test_fixed_cost_equals_the_sum_of_slice_ledgers(strategy, db_size, num_subsy
     # The reference builds every slice's ledger from ``partition``, not from
     # ``prepare``'s slice map; equal local sets reuse one search.
     cfg = ExperimentConfig(db_size, num_subsystems, frozenset(marked), strategy, seed=1)
-    subs = partition(db_size, 1 if strategy == SEQUENTIAL else num_subsystems, marked)
+    count = 1 if strategy == SEQUENTIAL else num_subsystems
+    buckets = partition(db_size, count, marked)
+    slices = [buckets.get(i, frozenset()) for i in range(count)]
+    qubits = (db_size // count).bit_length() - 1
     ledgers = {}
-    for sub in subs:
-        if sub.local_marked not in ledgers:
-            ledgers[sub.local_marked] = distributed._distributions(
-                strategy, sub.num_qubits, sub.local_marked, distributed._rounds(cfg)
+    for local in slices:
+        if local not in ledgers:
+            ledgers[local] = distributed._distributions(
+                strategy, qubits, local, distributed._rounds(cfg)
             )[2]
-    classical = len(subs) if strategy == SEMICLASSICAL_VERIFY else 0
+    classical = count if strategy == SEMICLASSICAL_VERIFY else 0
     expected = sum(
-        (ledgers[sub.local_marked] for sub in subs), CostLedger(classical_oracle_calls=classical)
+        (ledgers[local] for local in slices), CostLedger(classical_oracle_calls=classical)
     )
     assert distributed._fixed_cost(cfg, *distributed.prepare(cfg)) == expected

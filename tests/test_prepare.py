@@ -264,16 +264,17 @@ def test_slice_map_agrees_with_partition(args, strategy):
     db_size, num_subsystems, marked = args
     cfg = ExperimentConfig(db_size, num_subsystems, marked, strategy, seed=1)
     preparations, which = prepare(cfg)
-    subs = partition(db_size, num_subsystems, marked)
-    assert which.dtype == np.intp and len(which) == len(subs)
+    buckets = partition(db_size, num_subsystems, marked)
+    assert which.dtype == np.intp and len(which) == num_subsystems
     # Two slices share a preparation exactly when their local marked sets
     # are equal, and each preparation holds that set's masses.
     shared = {}
-    for sub, n in zip(subs, which.tolist()):
-        assert shared.setdefault(sub.local_marked, n) == n
+    for i, n in enumerate(which.tolist()):
+        assert shared.setdefault(buckets.get(i, frozenset()), n) == n
     assert len(set(shared.values())) == len(shared)
+    qubits = (db_size // num_subsystems).bit_length() - 1
     for local, n in shared.items():
-        cdf, fired, ledger = distributed._distributions(strategy, subs[0].num_qubits, local, 1)
+        cdf, fired, ledger = distributed._distributions(strategy, qubits, local, 1)
         assert bits(expand(preparations[n].cdf)) == bits(expand(cdf))
         assert bits(expand(preparations[n].fired_cdf)) == bits(expand(fired))
         assert preparations[n].ledger == ledger
