@@ -13,8 +13,7 @@ _EXPORTS = {
         [
             "ALL_STRATEGIES", "ExperimentConfig", "PROBE", "RunReport",
             "SEMICLASSICAL_REPEAT", "SEMICLASSICAL_VERIFY", "SEQUENTIAL",
-            "SubsystemOutcome", "find_winner",
-            "iter_trials", "partition", "run_trials", "summarize_trials",
+            "find_winner", "iter_trials", "partition", "run_trials", "summarize_trials",
         ],
         "distributed",
     ),

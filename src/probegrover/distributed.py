@@ -44,6 +44,7 @@ not read off a draw.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, astuple, dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -94,7 +95,10 @@ class ExperimentConfig:
     repeat_rounds: int = 3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "global_marked", frozenset(self.global_marked))
+        for name in ("db_size", "num_subsystems", "seed", "trials", "repeat_rounds"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        marked = frozenset(_integer("marked index", i) for i in self.global_marked)
+        object.__setattr__(self, "global_marked", marked)
         self.validate()
 
     def validate(self) -> None:
@@ -108,31 +112,38 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials must be >= 1 (got {self.trials})")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative (got {self.seed})")
-        if self.strategy == SEMICLASSICAL_REPEAT:
-            _check_repeat_rounds(self.repeat_rounds, self.db_size)
+        rounds = self.repeat_rounds
+        if rounds < 2:
+            raise ConfigurationError(f"repeat-rounds must be at least 2 (got {rounds})")
+        # Birthday-paradox bound: repeat's rounds must stay below sqrt(db-size).
+        if self.strategy == SEMICLASSICAL_REPEAT and rounds * rounds >= self.db_size:
+            raise ConfigurationError(
+                f"repeat-rounds must be below sqrt(db-size) (got rounds={rounds}, "
+                f"db-size={self.db_size})"
+            )
 
 
-@dataclass(frozen=True)
-class SubsystemOutcome:
-    """What one sub-system reported in one trial, and what its run cost.
-
-    The probe strategy fills ``probe_bit``; the other strategies fill
-    ``reported_local_index`` instead.
-    """
-
-    id: int
-    ledger: CostLedger
-    probe_bit: int | None = None
-    reported_local_index: int | None = None
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer of any integer type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer (got {value!r})") from None
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """One complete trial: merge decision, recovered indices, cost totals.
+    """One complete trial: what each slice reported, the merge decision,
+    recovered indices and cost totals.
 
-    ``correct`` means the trial reported exactly what the marked set
-    demands: at least one index with every reported index a true solution,
-    or nothing at all when no solution exists.
+    ``readouts`` has one entry per slice: its probe bit (probe), its
+    measured local index (verify), or the local index all its rounds agreed
+    on, None if they did not (repeat, sequential). ``iteration_depth`` is
+    the deepest slice's Grover iterations, the same in every trial; so is
+    each slice's ledger, which ``prepare`` holds. ``correct`` means the
+    trial reported exactly what the marked set demands: at least one index
+    with every reported index a true solution, or nothing at all when no
+    solution exists.
     """
 
     config: ExperimentConfig
@@ -140,17 +151,13 @@ class RunReport:
     recovered: tuple[int, ...]
     correct: bool
     total_ledger: CostLedger
-    per_subsystem: tuple[SubsystemOutcome, ...]
+    readouts: tuple[int | None, ...]
+    iteration_depth: int
 
     @property
     def missed(self) -> bool:
         """A solution exists but no sub-system reported a result."""
         return bool(self.config.global_marked) and not self.recovered
-
-    @property
-    def iteration_depth(self) -> int:
-        """Critical-path Grover iterations across parallel sub-systems."""
-        return max((o.ledger.grover_iterations for o in self.per_subsystem), default=0)
 
 
 @dataclass(frozen=True)
@@ -187,17 +194,6 @@ def _check_partition(db_size: int, num_subsystems: int, global_marked: Iterable[
             raise ConfigurationError(
                 f"marked index {index} out of range for db-size {db_size}"
             )
-
-
-def _check_repeat_rounds(rounds: int, db_size: int) -> None:
-    # Birthday-paradox bound: rounds must stay below sqrt(db-size).
-    if rounds < 2:
-        raise ConfigurationError(f"repeat-rounds must be at least 2 (got {rounds})")
-    if rounds * rounds >= db_size:
-        raise ConfigurationError(
-            f"repeat-rounds must be below sqrt(db-size) (got rounds={rounds}, "
-            f"db-size={db_size})"
-        )
 
 
 def _buckets(size: int, global_marked: Collection[int]) -> tuple[np.ndarray, list]:
@@ -674,17 +670,20 @@ def _fixed_cost(config: ExperimentConfig, prepared: list, which: np.ndarray) -> 
     return CostLedger(*totals.tolist()) + CostLedger(classical_oracle_calls=classical)
 
 
-def _merged_chunks(
-    config: ExperimentConfig, prepared: list, which: np.ndarray
-) -> Iterator[_Columns]:
-    """Draw and merge the configured trials in chunks of about
-    ``_BLOCK_KEYS`` stage-0 draws (at least one trial), so draw memory
-    grows with neither the trial count nor the rounds."""
+def _trials(config: ExperimentConfig) -> tuple[CostLedger, int, Iterator[_Columns]]:
+    """What every trial of ``config`` shares (the cost no draw changes, and
+    the critical-path depth: the deepest slice's Grover iterations), and its
+    trials merged lazily in chunks of about ``_BLOCK_KEYS`` stage-0 draws (at
+    least one trial), so draw memory grows with neither trials nor rounds."""
+    prepared, which = prepare(config)
+    depth = max(p.ledger.grover_iterations for p in prepared)
     order = np.argsort(which, kind="stable")
     chunk = max(1, _BLOCK_KEYS // len(which))
-    for first in range(0, config.trials, chunk):
-        trials = range(first, min(first + chunk, config.trials))
-        yield _merge(config, prepared, which, order, trials)
+    chunks = (
+        _merge(config, prepared, which, order, range(first, min(first + chunk, config.trials)))
+        for first in range(0, config.trials, chunk)
+    )
+    return _fixed_cost(config, prepared, which), depth, chunks
 
 
 def summarize_trials(config: ExperimentConfig) -> TrialSummary:
@@ -694,20 +693,17 @@ def summarize_trials(config: ExperimentConfig) -> TrialSummary:
     per trial: the merged columns are summed chunk by chunk into integer
     totals.
     """
-    prepared, which = prepare(config)
+    fixed, depth, chunks = _trials(config)
     successes = misses = qubits = steps = 0
-    for columns in _merged_chunks(config, prepared, which):
+    for columns in chunks:
         successes += int(columns.correct.sum())
         if config.global_marked:
             misses += int((~columns.winners.any(axis=1)).sum())
         qubits += int(columns.merge_qubits.sum())
         steps += int(columns.decision_steps.sum())
-    fixed = _fixed_cost(config, prepared, which)
     totals = {name: value * config.trials for name, value in asdict(fixed).items()}
     totals["qubits_measured"] += qubits
     totals["decision_steps"] += steps
-    # Sub-systems run in parallel: the critical path is the deepest slice.
-    depth = max(p.ledger.grover_iterations for p in prepared)
     return fold_summary(config, config.trials, successes, misses, totals, depth * config.trials)
 
 
@@ -715,34 +711,30 @@ def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
     """Stream the configured trials of the configured strategy.
 
     Reports are built from the same merged columns ``summarize_trials``
-    folds. The slices are prepared when the first trial is drawn and
-    released with the iterator, so memory does not grow with the number of
-    trials.
+    folds, with the fixed cost and depth computed once per configuration;
+    ``readouts`` is the trial's row of the merged readouts. The slices are
+    prepared when the first trial is drawn and released with the iterator,
+    so memory does not grow with the number of trials.
     """
-    prepared, which = prepare(config)
-    fixed = _fixed_cost(config, prepared, which)
-    ledgers = [prepared[n].ledger for n in which.tolist()]
-    field = "probe_bit" if config.strategy == PROBE else "reported_local_index"
-    for columns in _merged_chunks(config, prepared, which):
+    fixed, depth, chunks = _trials(config)
+    for columns in chunks:
         rows = zip(
-            columns.readouts.tolist(),
+            np.where(columns.readouts < 0, None, columns.readouts).tolist(),
             columns.winners,
             columns.recovered,
             columns.correct.tolist(),
             columns.merge_qubits.tolist(),
             columns.decision_steps.tolist(),
         )
-        for readouts, winners, recovered, correct, qubits, steps in rows:
+        for reported, winners, recovered, correct, qubits, steps in rows:
             yield RunReport(
                 config=config,
                 winners=tuple(np.flatnonzero(winners).tolist()),
                 recovered=tuple(recovered[winners].tolist()),
                 correct=correct,
                 total_ledger=fixed + CostLedger(qubits_measured=qubits, decision_steps=steps),
-                per_subsystem=tuple(
-                    SubsystemOutcome(id=i, ledger=ledger, **{field: None if r < 0 else r})
-                    for i, (ledger, r) in enumerate(zip(ledgers, readouts))
-                ),
+                readouts=tuple(reported),
+                iteration_depth=depth,
             )
 
 

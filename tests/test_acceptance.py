@@ -29,6 +29,7 @@ from probegrover import (
     state_from_amplitudes,
     success_probability,
 )
+from probegrover.distributed import prepare
 
 
 def criterion(number: int, title: str):
@@ -89,11 +90,11 @@ def test_probe_locality():
     solution_sub = 777 // 256
     hits = 0
     for report in reports:
-        for outcome in report.per_subsystem:
-            if outcome.id == solution_sub:
-                hits += outcome.probe_bit
+        for sub_id, bit in enumerate(report.readouts):
+            if sub_id == solution_sub:
+                hits += bit
             else:
-                assert outcome.probe_bit == 0
+                assert bit == 0
     expected = success_probability(256, 1, 12)
     assert abs(hits / len(reports) - expected) < 0.01
 
@@ -131,14 +132,16 @@ def test_single_extra_oracle_call():
             trials=5,
         )
         slice_size = db_size // subsystems
+        # A slice's ledger is fixed by its preparation, the same in every trial.
+        preparations, which = prepare(cfg)
+        calls = 0
+        for sub_id, n in enumerate(which.tolist()):
+            local = 1 if sub_id == marked // slice_size else 0
+            iterations = iteration_count(slice_size, local)
+            assert preparations[n].ledger.quantum_oracle_calls == iterations + 1
+            calls += iterations + 1
         for report in run_trials(cfg):
-            for outcome in report.per_subsystem:
-                sub_offset = outcome.id * slice_size
-                local = 1 if sub_offset <= marked < sub_offset + slice_size else 0
-                assert (
-                    outcome.ledger.quantum_oracle_calls
-                    == iteration_count(slice_size, local) + 1
-                )
+            assert report.total_ledger.quantum_oracle_calls == calls
 
 
 @criterion(6, "winner scan spends exactly ceil(log2 M) decisions for one set bit")

@@ -56,6 +56,23 @@ class TestValidation:
         assert code == 2
         assert "sqrt" in capsys.readouterr().err
 
+    def test_repeat_rounds_checked_for_every_strategy(self, capsys):
+        code = run_command(
+            ["--db-size", "16", "--subsystems", "4", "--marked", "10", "--strategy", "probe",
+             "--repeat-rounds", "-3", "--trials", "1", "--seed", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeat-rounds must be at least 2 (got -3)\n"
+
+    def test_sqrt_round_bound_is_repeat_only(self, capsys):
+        # The default 3 rounds fail 3 < sqrt(8), which only repeat requires.
+        code = run_command(
+            ["--db-size", "8", "--subsystems", "2", "--marked", "3", "--strategy", "probe",
+             "--trials", "1", "--seed", "1"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["repeat_rounds"] == 3
+
     def test_garbled_marked_list(self, capsys):
         code = run_command(
             ["--db-size", "16", "--subsystems", "4", "--marked", "ten",

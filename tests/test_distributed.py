@@ -127,7 +127,7 @@ class TestRunSubsystemProbe:
             qubits_measured=1, quantum_oracle_calls=1, grover_iterations=0
         )
         (report,) = run_trials(config())
-        assert [o.probe_bit for o in report.per_subsystem if o.id != 2] == [0, 0, 0]
+        assert [bit for i, bit in enumerate(report.readouts) if i != 2] == [0, 0, 0]
 
     def test_certain_detection_at_four_items(self):
         prepared = prepared_slice(config(marked=(11,)), 2)
@@ -224,7 +224,7 @@ class TestProbeStrategy:
         assert report.correct and not report.missed
         assert report.total_ledger.qubits_measured == 6
         assert report.total_ledger.decision_steps == 2
-        assert [o.probe_bit for o in report.per_subsystem] == [0, 0, 1, 0]
+        assert report.readouts == (0, 0, 1, 0)
 
     def test_no_solution_reports_nothing(self):
         report = first_trial(config(marked=()))
@@ -258,8 +258,7 @@ class TestProbeStrategy:
     def test_solutionless_subsystems_never_fire(self):
         cfg = config(db_size=1024, num_subsystems=4, marked=(777,), seed=6, trials=200)
         for report in run_trials(cfg):
-            for outcome in report.per_subsystem[:3]:
-                assert outcome.probe_bit == 0
+            assert report.readouts[:3] == (0, 0, 0)
 
     def test_multiplicity_recovers_every_solution(self):
         report = first_trial(config(marked=(1, 10)))
@@ -341,7 +340,7 @@ class TestSequentialBaseline:
         assert report.total_ledger.qubits_measured == 10
         assert report.total_ledger.grover_iterations == 25
         assert report.iteration_depth == 25
-        assert report.per_subsystem[0].reported_local_index == report.recovered[0]
+        assert report.readouts == report.recovered
 
     def test_correctness_follows_measurement(self):
         cfg = config(strategy=SEQUENTIAL, seed=12, trials=200)
@@ -361,7 +360,7 @@ class TestDeterminism:
     def test_trials_use_independent_streams(self):
         cfg = config(db_size=16, num_subsystems=2, marked=(10,), seed=123, trials=64)
         reports = run_trials(cfg)
-        bits = {tuple(o.probe_bit for o in r.per_subsystem) for r in reports}
+        bits = {r.readouts for r in reports}
         assert len(bits) > 1  # at 8-item slices some probes must miss
 
     def test_child_rng_is_stable_and_keyed(self):
@@ -402,3 +401,29 @@ class TestConfigValidation:
         config(db_size=1 << 18, num_subsystems=1 << 16, marked=(0,)).validate()
         with pytest.raises(ConfigurationError, match="subsystems must be at most 65536"):
             config(db_size=1 << 18, num_subsystems=1 << 17, marked=(0,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("trials", 2.5), ("repeat_rounds", 2.5), ("db_size", 16.0),
+         ("num_subsystems", "4")],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        kwargs = {"strategy": SEMICLASSICAL_REPEAT, "repeat_rounds": 2, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            config(**kwargs)
+
+    def test_non_integer_marked_index_rejected(self):
+        with pytest.raises(ConfigurationError, match="marked index must be an integer"):
+            config(db_size=1024, marked=(777.0,))
+
+    def test_integer_types_are_stored_as_int(self):
+        cfg = config(seed=np.uint64(7), marked=(np.int32(10),), trials=np.int64(2))
+        assert (cfg.seed, cfg.trials, cfg.global_marked) == (7, 2, {10})
+        assert all(type(v) is int for v in (cfg.seed, cfg.trials, *cfg.global_marked))
+
+    @pytest.mark.parametrize("strategy", [PROBE, SEMICLASSICAL_VERIFY, SEQUENTIAL])
+    def test_repeat_rounds_checked_for_every_strategy(self, strategy):
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            config(strategy=strategy, repeat_rounds=-3)
+        # The sqrt(db-size) bound is the repeat strategy's only: 3 * 3 >= 8.
+        config(db_size=8, num_subsystems=2, marked=(3,), strategy=strategy, repeat_rounds=3)

@@ -20,6 +20,13 @@ from probegrover import (
     success_probability,
     summarize,
 )
+from probegrover.distributed import prepare
+
+
+def slice_ledgers(cfg):
+    """Each slice's own ledger, fixed by its preparation."""
+    preparations, which = prepare(cfg)
+    return [preparations[n].ledger for n in which.tolist()]
 
 
 def make_summary(strategy, db_size=1024, num_subsystems=4, marked=(777,), trials=50, seed=4):
@@ -71,8 +78,8 @@ class TestLedgerConservation:
             seed=14,
             trials=20,
         )
+        sub_total = sum(slice_ledgers(cfg), CostLedger())
         for report in run_trials(cfg):
-            sub_total = sum((o.ledger for o in report.per_subsystem), CostLedger())
             merge = CostLedger(
                 qubits_measured=8 * len(report.winners),
                 decision_steps=report.total_ledger.decision_steps,
@@ -88,10 +95,11 @@ class TestLedgerConservation:
             seed=14,
             trials=20,
         )
+        ledgers = slice_ledgers(cfg)
+        assert all(ledger.classical_oracle_calls == 0 for ledger in ledgers)
+        sub_total = sum(ledgers, CostLedger())
         for report in run_trials(cfg):
-            sub_total = sum((o.ledger for o in report.per_subsystem), CostLedger())
             assert report.total_ledger == sub_total + CostLedger(classical_oracle_calls=4)
-            assert all(o.ledger.classical_oracle_calls == 0 for o in report.per_subsystem)
 
     def test_subsystem_iterations_never_exceed_sequential(self):
         cfg = ExperimentConfig(
@@ -103,9 +111,8 @@ class TestLedgerConservation:
             trials=5,
         )
         bound = iteration_count(1024, 1)
+        assert all(ledger.grover_iterations <= bound for ledger in slice_ledgers(cfg))
         for report in run_trials(cfg):
-            for outcome in report.per_subsystem:
-                assert outcome.ledger.grover_iterations <= bound
             assert report.iteration_depth == iteration_count(256, 1)
 
 

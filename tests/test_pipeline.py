@@ -5,6 +5,7 @@ configuration."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from math import isqrt
 from unittest import mock
@@ -123,12 +124,14 @@ def configs(draw, max_marked: int = 4) -> ExperimentConfig:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(configs())
 def test_pipeline_matches_dense_chain(cfg):
+    # Each report's readouts are its trial's row of the merged columns, -1
+    # (repeat rounds that disagreed) read as None.
+    _, _, chunks = distributed._trials(cfg)
+    rows = np.concatenate([columns.readouts for columns in chunks]).tolist()
     for trial, report in enumerate(run_trials(cfg)):
         readouts, recovered, ledger = dense_trial(cfg, trial)
-        if cfg.strategy == PROBE:
-            assert [o.probe_bit for o in report.per_subsystem] == readouts
-        else:
-            assert [o.reported_local_index for o in report.per_subsystem] == readouts
+        assert report.readouts == tuple(None if r < 0 else r for r in rows[trial])
+        assert list(report.readouts) == readouts
         assert report.recovered == recovered
         assert report.total_ledger == ledger
 
@@ -186,7 +189,7 @@ def test_ledger_identities_hold_in_closed_form(cfg):
 def test_trials_do_not_depend_on_the_trial_count(cfg, extra):
     def outcomes(trials):
         return [
-            (r.winners, r.recovered, r.total_ledger, r.per_subsystem)
+            (r.winners, r.recovered, r.total_ledger, r.readouts)
             for r in run_trials(replace(cfg, trials=trials))
         ]
 
@@ -307,3 +310,20 @@ def test_fixed_cost_equals_the_sum_of_slice_ledgers(strategy, db_size, num_subsy
         (ledgers[local] for local in slices), CostLedger(classical_oracle_calls=classical)
     )
     assert distributed._fixed_cost(cfg, *distributed.prepare(cfg)) == expected
+
+
+def test_reports_keep_one_pointer_per_slice():
+    # A report keeps each slice's readout, a probe bit here, as one pointer
+    # of its readouts tuple (8 B), and nothing per slice besides: the
+    # slices' ledgers stay with the preparations, which the iterator drops.
+    cfg = ExperimentConfig(1 << 17, 1 << 16, frozenset({5, 70000}), PROBE, seed=1, trials=3)
+    next(iter_trials(cfg))  # one-time allocations of numpy and the package
+    tracemalloc.start()
+    try:
+        reports = list(iter_trials(cfg))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 3
+    assert kept < 3 * cfg.num_subsystems * 9
+    assert all(len(r.readouts) == cfg.num_subsystems for r in reports)
