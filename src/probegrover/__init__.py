@@ -5,7 +5,7 @@ loads neither numpy nor any submodule, and a CLI run loads only the
 modules it uses.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each public name, mapped to the submodule that defines it.
 _EXPORTS = {

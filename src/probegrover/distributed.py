@@ -19,15 +19,13 @@ included for cost comparisons. All randomness descends from the
 configuration seed through a fixed splitting scheme, so reports are
 reproducible and independent of sub-system scheduling.
 
-Every strategy runs as one pipeline. ``prepare`` runs the Grover search
-once per distinct local marked set on the register's two distinct
-amplitudes (``run_grover_pair``), keeps only the cumulative outcome
-masses a measurement samples from, and maps each slice to its
-preparation with an index array, so no per-slice object is built. Every
-array those masses sum is two-valued, so it is never built: its
-``np.cumsum`` is kept as arithmetic segments (``SegmentedCdf``) and its
-``np.sum`` replayed as numpy's pairwise sum, bit for bit, and a distinct
-slice of N items with K marked costs O(K + log N) memory. Trials are
+Every strategy runs as one pipeline. ``prepare`` takes, once per
+distinct local marked set, the two exact outcome masses the Grover search
+leaves on each unmarked and each marked item (``outcome_masses``, in
+integer arithmetic), and maps each slice to its preparation with an index
+array, so no per-slice object is built. A measurement samples the
+closed-form cumulative masses of those two values (``TwoValuedCdf``), so
+a distinct slice of N items with K marked costs O(K) memory. Trials are
 then drawn a chunk at a time and one stage at a time, each stage only
 where the merge reads it: every draw is the first value of its own
 seed-tree stream, computed in blocks by ``first_draws`` at the live
@@ -43,15 +41,14 @@ not read off a draw.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import asdict, astuple, dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, ProtocolError
-from .grover import MAX_QUBITS, _FLOAT_LEAF, _TwoValueSum, is_power_of_two, run_grover_pair
+from .errors import ConfigurationError, ProtocolError
+from .grover import MAX_QUBITS, is_power_of_two, iteration_count, outcome_masses
 from .ledger import CostLedger, TrialSummary, fold_summary
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
@@ -97,7 +94,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("db_size", "num_subsystems", "seed", "trials", "repeat_rounds"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        marked = frozenset(_integer("marked index", i) for i in self.global_marked)
+        try:
+            items = iter(self.global_marked)
+        except TypeError:
+            raise ConfigurationError(
+                f"global_marked must be an iterable of integers (got {self.global_marked!r})"
+            ) from None
+        marked = frozenset(_integer("marked index", i) for i in items)
         object.__setattr__(self, "global_marked", marked)
         self.validate()
 
@@ -216,47 +219,39 @@ def partition(
     return dict(zip(ids.tolist(), local))
 
 
-class SegmentedCdf:
-    """A nondecreasing cumulative mass array, kept as arithmetic segments.
+class TwoValuedCdf:
+    """Outcome masses of ``size`` items: ``marked`` at each of the sorted
+    ``indices``, ``unmarked`` at every other item.
 
-    Segment k holds ``count[k]`` consecutive items, ``first[k] + j *
-    step[k]`` for j below ``count[k]``; ``last[k]`` is its final value and
-    ``size`` the number of items. The segments hold ``np.cumsum`` of a
-    two-valued array bit for bit: a segment of more than one distinct value
-    lies inside one binade, where each addition adds the same multiple of
-    the binade's ulp, so ``first + j * step`` is exact.
+    The cumulative mass at item i is c(i) = (i + 1 - rank(i)) * unmarked +
+    rank(i) * marked, where rank(i) counts the indices at or below i, so
+    the masses are never expanded.
     """
 
-    def __init__(self, first: np.ndarray, step: np.ndarray, count: np.ndarray):
-        self.first, self.step, self.count = first, step, count
-        start = np.cumsum(count) - count
-        self.size = int(start[-1] + count[-1])
-        self.last = first + (count - 1) * step
-        # The sampler's tables, with one sentinel segment past the end that
-        # maps every value to the last item, as sample_cdf's clamp does. A
-        # constant segment divides by infinity.
-        self._start = np.concatenate((start, [self.size - 1])).astype(np.float64)
-        self._first = np.concatenate((first, [np.inf]))
-        self._divisor = np.concatenate((np.where(step > 0.0, step, np.inf), [1.0]))
+    def __init__(self, size: int, indices: np.ndarray, unmarked: float, marked: float):
+        self.size, self.indices, self.unmarked, self.marked = size, indices, unmarked, marked
+        # The sampler's tables: the mass of the first j marked items, the
+        # cumulative mass up to marked item j, and the last item of the run
+        # that has j marked items before it.
+        ranks = np.arange(len(indices) + 1)
+        self._heights = ranks * marked
+        self._ends = (indices - ranks[:-1]) * unmarked + self._heights[1:]
+        self._caps = np.append(indices, size - 1)
+        self.total = (size - ranks[-1]) * unmarked + self._heights[-1]
 
     def sample(self, uniforms: float | np.ndarray) -> int | np.ndarray:
-        """``sample_cdf`` of the expanded array, without expanding it.
+        """``sample_cdf`` of the expanded masses, without expanding them.
 
-        A right-sided binary search over the segments' last values finds
-        the segment holding the first item above ``x = uniforms * total``.
-        Inside it, x and ``first`` share a binade, so ``x - first`` and
-        ``step`` are integer multiples of its ulp below 2**52, and the
-        rounded quotient has the exact integer part: it counts the
-        segment's items at or below x.
+        A right-sided binary search counts the j marked items whose
+        cumulative mass is at or below x, the scaled uniform; the first item
+        past x is the unmarked one a floor division of the rest of x finds,
+        or else marked item j.
         """
-        total = self.last[-1]
-        if total <= 0.0:
-            raise InvariantError("outcome distribution has zero total mass")
-        x = uniforms * total
-        k = np.searchsorted(self.last, x, side="right")
-        first = self._first[k]
-        below = np.floor((x - first) / self._divisor[k]) + (x >= first)
-        index = (self._start[k] + np.maximum(below, 0.0)).astype(np.intp)
+        x = uniforms * self.total
+        j = np.searchsorted(self._ends, x, side="right")
+        # Without unmarked mass, the run's marked item is the first past x.
+        below = np.floor((x - self._heights[j]) / self.unmarked) if self.unmarked else np.inf
+        index = np.minimum(j + below, self._caps[j]).astype(np.intp)
         return index if np.ndim(index) else int(index)
 
 
@@ -264,119 +259,16 @@ class SegmentedCdf:
 class PreparedSlice:
     """What one distinct slice's trials draw from, built once per configuration.
 
-    ``cdf`` holds the cumulative masses the operate stage samples: the
-    probe's two branches for the probe strategy, the register's Born
-    probabilities otherwise. ``fired_cdf`` is the register distribution
-    conditioned on the probe reading 1 (probe strategy only; None when the
-    probe cannot fire). ``ledger`` is what one trial costs the slice. The
-    masses are summed exactly as a per-trial measurement sums them, so
-    every draw lands on the same outcome. Both are ``SegmentedCdf``s of
-    O(K + log N) segments for a slice of N items, K of them marked.
+    ``cdf`` holds the masses the operate stage samples: the probe's two
+    branches for the probe strategy, the register's Born probabilities
+    otherwise. ``fired_cdf`` is the register conditioned on the probe
+    reading 1 (probe strategy only; None when the probe cannot fire).
+    ``ledger`` is what one trial costs the slice.
     """
 
-    cdf: SegmentedCdf
-    fired_cdf: SegmentedCdf | None
+    cdf: TwoValuedCdf
+    fired_cdf: TwoValuedCdf | None
     ledger: CostLedger
-
-
-def _binade_top(total: float) -> float:
-    """The power of two that ends the binade of a positive ``total``."""
-    return math.ldexp(1.0, math.frexp(total)[1])
-
-
-def _scalar_run(total: float, value: float, length: int, pieces: list) -> float:
-    """Append the segments of ``length`` float64 additions of ``value`` to
-    ``total``, in ``np.cumsum``'s order, and return the last sum.
-
-    Three sums with two equal steps inside one binade start an arithmetic
-    segment that lasts to the binade's end: the step is the value rounded
-    to the binade's ulp, and once the first tie has rounded to even it
-    stays the same. Any other sum, at a binade edge or before a tie has
-    settled, is a segment of its own.
-    """
-    firsts, steps, counts = [], [], []
-    while length:
-        a = total + value
-        b = a + value
-        step = b - a
-        count = 1
-        if length >= 3 and b + value - b == step:
-            top = _binade_top(a)
-            if step == 0.0:
-                count = length
-            elif b + value < top:
-                # The sums a + j * step below top, counted in ulps.
-                ulp = math.ulp(a)
-                count = min(length, -(-int((top - a) / ulp) // int(step / ulp)))
-        firsts.append(a)
-        steps.append(step)
-        counts.append(count)
-        total = a + (count - 1) * step
-        length -= count
-    pieces.append((firsts, steps, counts))
-    return total
-
-
-def _binade_runs(total: float, lengths: np.ndarray, values: np.ndarray, pieces: list):
-    """Append the segments of the leading runs that keep every sum inside
-    the binade of a positive ``total``; return how many runs they are and
-    the last sum.
-
-    In that binade each addition of a value adds the value rounded to the
-    binade's ulp, whatever the sum, unless it lies exactly halfway between
-    two multiples of the ulp: then the result rounds to even, and the
-    scalar path takes over. The sums are exact integer multiples of the ulp.
-    """
-    ulp = math.ulp(total)
-    with np.errstate(over="ignore", invalid="ignore"):
-        units = values / ulp
-        steps = np.rint(units)
-        sums = total / ulp + np.cumsum(lengths * steps)
-        fits = (sums < _binade_top(total) / ulp) & (units - np.floor(units) != 0.5)
-    taken = len(fits) if fits.all() else int(np.argmin(fits))
-    if taken:
-        steps, sums, lengths = steps[:taken], sums[:taken], lengths[:taken]
-        pieces.append(((sums - (lengths - 1) * steps) * ulp, steps * ulp, lengths))
-        total = float(sums[-1] * ulp)
-    return taken, total
-
-
-def _two_valued_cumsum(
-    size: int, indices: np.ndarray, unmarked: float, marked: float
-) -> SegmentedCdf:
-    """``np.cumsum`` of the ``size``-item array holding ``marked`` at the
-    sorted ``indices`` and ``unmarked`` elsewhere, as segments, bit for bit.
-
-    The array is runs of equal items. All runs that stay inside the
-    running sum's binade are taken at once; the run that leaves it, or a
-    binade where a value ties, goes run by run. The work is O(runs) numpy
-    operations per binade the sums pass.
-    """
-    # Runs of consecutive marked items, as their first and one-past-last
-    # items; the runs alternate unmarked, marked, ... from item 0.
-    breaks = np.flatnonzero(indices[1:] != indices[:-1] + 1)
-    heads = np.concatenate((indices[:1], indices[breaks + 1]))
-    tails = np.concatenate((indices[breaks], indices[-1:])) + 1
-    bounds = np.concatenate(([0], np.column_stack((heads, tails)).ravel(), [size]))
-    lengths = bounds[1:] - bounds[:-1]
-    values = np.where(np.arange(len(lengths)) % 2, marked, unmarked)
-    keep = lengths > 0
-    lengths, values = lengths[keep], values[keep]
-    pieces: list = []
-    total, r = 0.0, 0
-    while r < len(lengths):
-        # Skip the pass when the next run plainly leaves the binade.
-        if 0.0 < total and total + lengths[r] * values[r] < _binade_top(total):
-            taken, total = _binade_runs(total, lengths[r:], values[r:], pieces)
-            r += taken
-        top = _binade_top(total) if total > 0.0 else 0.0
-        while r < len(lengths):
-            total = _scalar_run(total, float(values[r]), int(lengths[r]), pieces)
-            r += 1
-            if total >= top:
-                break
-    first, step, count = (np.concatenate(column) for column in zip(*pieces))
-    return SegmentedCdf(first, step, count.astype(np.int64))
 
 
 def _rounds(config: ExperimentConfig) -> int:
@@ -385,46 +277,31 @@ def _rounds(config: ExperimentConfig) -> int:
 
 def _distributions(
     strategy: str, num_qubits: int, marked: frozenset[int], rounds: int
-) -> tuple[SegmentedCdf, SegmentedCdf | None, CostLedger]:
-    """The cumulative masses one slice's trials sample, built from its two
-    final Grover amplitudes without an N-item array.
+) -> tuple[TwoValuedCdf, TwoValuedCdf | None, CostLedger]:
+    """The masses one slice's trials sample, from its two exact outcome masses.
 
-    Each mass array holds the bytes the dense chain gives: the register's
-    ``np.cumsum(np.abs(amps) ** 2)``; for the probe, ``np.sum`` of each
-    branch of the joint state after the boolean oracle (the register with
-    its marked slots swapped out, and only those slots), and the register
-    conditioned on the probe reading 1. Every array summed is two-valued,
-    so the cumulative sums are replayed as segments and the branch sums
-    as numpy's pairwise sum over float leaves (``_TwoValueSum``).
+    For the probe the boolean oracle moves the marked items' mass onto the
+    probe, so its branches are (N - K) * unmarked and K * marked, and the
+    register it leaves when it fires is uniform over the K marked items.
     """
-    pair, indices, stats = run_grover_pair(num_qubits, marked)
-    iterations = stats.iterations
-    unmarked, hit = np.abs(pair) ** 2
     size = 1 << num_qubits
+    iterations = iteration_count(size, len(marked))
+    unmarked, hit = outcome_masses(size, len(marked))
+    indices = np.array(sorted(marked), dtype=np.intp)
     if strategy != PROBE:
         ledger = CostLedger(
             qubits_measured=rounds * num_qubits,
             quantum_oracle_calls=rounds * iterations,
             grover_iterations=rounds * iterations,
         )
-        return _two_valued_cumsum(size, indices, unmarked, hit), None, ledger
-    branch = _TwoValueSum(num_qubits, indices, _FLOAT_LEAF)
-    unfired = float(branch(unmarked, 0.0))
-    fired = float(branch(0.0, hit))
-    fired_cdf = None
-    if fired > 0.0:
-        # collapse_probe's division, applied to the marked value alone.
-        (share,) = np.abs(pair[1:] / math.sqrt(fired)) ** 2
-        fired_cdf = _two_valued_cumsum(size, indices, 0.0, share)
+        return TwoValuedCdf(size, indices, unmarked, hit), None, ledger
+    fired_cdf = TwoValuedCdf(size, indices, 0.0, 1.0) if marked else None
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
-        qubits_measured=1,
-        quantum_oracle_calls=iterations + 1,
-        grover_iterations=iterations,
+        qubits_measured=1, quantum_oracle_calls=iterations + 1, grover_iterations=iterations
     )
-    # Two items: their np.cumsum is two one-item segments.
-    branches = SegmentedCdf(np.cumsum([unfired, fired]), np.zeros(2), np.ones(2, np.int64))
-    return branches, fired_cdf, ledger
+    branches = (size - len(marked)) * unmarked, len(marked) * hit
+    return TwoValuedCdf(2, np.ones(1, np.intp), *branches), fired_cdf, ledger
 
 
 def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:

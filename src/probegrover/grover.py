@@ -1,4 +1,5 @@
-"""Grover search loop and its closed-form success probability.
+"""Grover search loop, its closed-form success probability, and its exact
+outcome masses.
 
 The closed form sin^2((2r+1) * asin(sqrt(t/n))) predicts the probability
 mass on the t solution states after r oracle+diffusion iterations over n
@@ -6,17 +7,15 @@ items, and serves as the analytic cross-check for the simulated loop.
 
 Starting from the uniform state, every oracle+diffusion iteration keeps
 the register two-valued: one amplitude on all marked items and one on the
-rest (Boyer, Brassard, Hoyer and Tapp, 1998). ``run_grover_pair``
-therefore iterates on the pair ``[unmarked, marked]``, and ``run_grover``
-writes the dense state from it once at the end. The pair holds the same
+rest (Boyer, Brassard, Hoyer and Tapp, 1998). The trial engine samples
+the exact masses of that pair (``outcome_masses``). ``run_grover``, the
+dense reference, iterates on the float pair and writes the dense state
+from it once at the end. The pair holds the same
 bytes as the dense loop ``apply_diffusion(apply_phase_oracle(state,
-marked))``: the oracle and the reflection are the same numpy operations
-applied to the pair, and the one step whose rounding depends on the
-register size, the mean, is replayed exactly (``_TwoValueSum``): one
-``add.reduce`` over the leaves of numpy's pairwise summation tree that
-differ, then the same pairwise additions up the tree, mostly as Python
-scalars. A Python float or complex ``+`` is the IEEE-754 binary64 addition
-numpy's ``add`` performs, component-wise, so the bytes are the same.
+marked))``: the oracle and the reflection are the same numpy operations,
+and the one step whose rounding depends on the register size, the mean,
+is replayed exactly from numpy's pairwise summation tree
+(``_TwoValueSum``).
 """
 
 from __future__ import annotations
@@ -31,15 +30,17 @@ if TYPE_CHECKING:
     from .statevector import StateVector
 
 MAX_QUBITS = 24
-# Items per leaf of numpy's pairwise sum: it adds blocks of up to 128
-# doubles with an 8-way unroll and splits anything longer into halves.
+# Complex items per leaf of numpy's pairwise sum: it adds blocks of up to
+# 128 doubles with an 8-way unroll and splits anything longer into halves.
 _COMPLEX_LEAF = 64
-_FLOAT_LEAF = 128
 # Levels of ``_TwoValueSum``'s tree with more marked-holding nodes than
 # this are added as one numpy operation each, narrower ones as Python
 # scalars: a numpy level costs about 1 us whatever its width, a scalar
 # addition about 0.08 us, so the two are equal near 12-16 nodes.
 _SCALAR_NODES = 16
+# Fractional bits of ``outcome_masses``' fixed point: amplified by about
+# sqrt(n/t), its truncations stay near 2**-240 at n = 2**24, far below 2**-53.
+_FIXED_BITS = 256
 
 
 @dataclass
@@ -103,6 +104,38 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+def outcome_masses(size: int, solutions: int) -> tuple[float, float]:
+    """The probability of measuring each unmarked and each marked item after
+    the scheduled iterations, each correctly rounded to a float.
+
+    Scaled by sqrt(n), the amplitude pair starts at (1, 1), and each
+    iteration maps it through S = [[n-2t, -2t], [2(n-t), n-2t]] / n for n
+    items and t solutions. Powers of S keep equal diagonal entries, so S^r
+    is raised by squaring as (diagonal, upper, lower) in fixed point, where
+    S itself is exact. Each mass is one correctly rounded ``int / int``.
+    """
+    rounds = iteration_count(size, solutions)
+    shift = _FIXED_BITS - (size.bit_length() - 1)
+    one = 1 << _FIXED_BITS
+    diag = (size - 2 * solutions) << shift
+    upper, lower = -2 * solutions << shift, 2 * (size - solutions) << shift
+    unmarked = marked = one
+    while rounds:
+        if rounds & 1:
+            unmarked, marked = (
+                (diag * unmarked + upper * marked) >> _FIXED_BITS,
+                (lower * unmarked + diag * marked) >> _FIXED_BITS,
+            )
+        diag, upper, lower = (
+            (diag * diag + upper * lower) >> _FIXED_BITS,
+            (2 * diag * upper) >> _FIXED_BITS,
+            (2 * diag * lower) >> _FIXED_BITS,
+        )
+        rounds >>= 1
+    scale = size * one * one
+    return unmarked * unmarked / scale, marked * marked / scale
+
+
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of a sorted array, without
     the sort: each run of equal values, and the run each item belongs to,
@@ -115,8 +148,8 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _TwoValueSum:
     """``np.add.reduce`` of a two-valued array of 2**num_qubits items, bit for bit.
 
-    numpy's ``add.reduce`` over a power-of-two N sums leaves of ``leaf``
-    items (``_COMPLEX_LEAF`` for complex128, ``_FLOAT_LEAF`` for float64)
+    numpy's ``add.reduce`` over a power-of-two N sums leaves of
+    ``_COMPLEX_LEAF`` complex128 items
     and adds sibling sums pairwise up a balanced tree; ``amps.mean()``
     divides that sum by N. Every leaf and subtree without a marked item has
     the same sum at its height, so only the leaves that hold marked items
@@ -125,16 +158,16 @@ class _TwoValueSum:
     the pairwise additions up the tree: one numpy add per level while a
     level has more than ``_SCALAR_NODES`` marked-holding nodes, and Python
     scalar additions above. The bytes do not depend on which adds a node: a
-    Python float or complex ``+`` is the same IEEE-754 binary64 addition,
+    Python complex ``+`` is the same IEEE-754 binary64 addition,
     component-wise, as numpy's ``add``, applied to the same two sums in the
-    same order. An array of at most ``leaf`` items is one leaf, and one
+    same order. An array of at most ``_COMPLEX_LEAF`` items is one leaf, and one
     without marked items is all clean subtrees. ``indices`` are sorted and
     distinct, as ``_marked_indices`` returns them.
     """
 
-    def __init__(self, num_qubits: int, indices: np.ndarray, leaf: int) -> None:
+    def __init__(self, num_qubits: int, indices: np.ndarray) -> None:
         dim = 1 << num_qubits
-        width = min(dim, leaf)
+        width = min(dim, _COMPLEX_LEAF)
         leaves, row = _runs(indices // width)
         # Which items of the clean leaf (row 0) and of each marked-holding
         # leaf are marked. Leaves with the same pattern have the same sum, so
@@ -184,10 +217,10 @@ class _TwoValueSum:
         return sums.dtype.type(nodes[-1])
 
 
-def run_grover_pair(
+def run_grover(
     num_qubits: int, marked: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray, GroverRunStats]:
-    """Run the full search loop on the uniform state, as two amplitudes.
+) -> tuple[StateVector, GroverRunStats]:
+    """Run the full search loop on the uniform state.
 
     Applies the phase oracle then diffusion for the scheduled number of
     iterations and reports the final probability mass on the marked states.
@@ -195,40 +228,28 @@ def run_grover_pair(
     with the dense loop's own numpy operations: the oracle negates the
     marked value as ``apply_phase_oracle`` does, the reflection is
     ``apply_diffusion``'s ``2.0 * mean - amps``, and ``_TwoValueSum``
-    replays numpy's summation order for the mean. Returns the final pair,
-    the sorted marked indices and the run's stats: the dense register holds
-    the pair's second value at those indices and its first everywhere else,
-    bit for bit, without building it. An iteration costs one small
-    ``add.reduce`` over the distinct marked leaf patterns and scalar
-    additions up the O(log N) tree levels above them.
+    replays numpy's summation order for the mean. The register is written
+    from the final pair once, with the same bytes as the dense
+    oracle+diffusion loop. An iteration costs one small ``add.reduce`` over
+    the distinct marked leaf patterns and scalar additions up the O(log N)
+    tree levels above them. The dense layer is imported here, so the trial
+    engine never loads it.
     """
+    from .statevector import StateVector
+
     _check_num_qubits(num_qubits)
     indices = _marked_indices(marked, num_qubits)
     dim = 1 << num_qubits
     rounds = iteration_count(dim, len(indices))
     vals = np.full(2, 1.0 / math.sqrt(dim), dtype=np.complex128)
     if rounds:
-        total = _TwoValueSum(num_qubits, indices, _COMPLEX_LEAF)
+        total = _TwoValueSum(num_qubits, indices)
         for _ in range(rounds):
             vals[1:] *= -1.0
             vals = 2.0 * (total(*vals) / dim) - vals
     # The same K-item sum as over the dense register's marked entries.
     mass = float(np.sum(np.full(len(indices), (np.abs(vals) ** 2)[1])))
-    return vals, indices, GroverRunStats(iterations=rounds, final_success_probability=mass)
-
-
-def run_grover(
-    num_qubits: int, marked: Iterable[int]
-) -> tuple[StateVector, GroverRunStats]:
-    """Run the full search loop on the uniform state.
-
-    ``run_grover_pair`` written out as the dense register: the same bytes
-    as the dense oracle+diffusion loop. The dense layer is imported here,
-    so the trial engine, which only needs the pair, never loads it.
-    """
-    from .statevector import StateVector
-
-    vals, indices, stats = run_grover_pair(num_qubits, marked)
-    amps = np.full(1 << num_qubits, vals[0])
+    amps = np.full(dim, vals[0])
     amps[indices] = vals[1]
+    stats = GroverRunStats(iterations=rounds, final_success_probability=mass)
     return StateVector(num_qubits, amps), stats

@@ -10,9 +10,10 @@ All operations are pure: they return new values and never mutate their
 inputs. Every measurement is an inverse-CDF draw over the cumulative
 outcome masses (``sample_cdf``). The two measurement operations take one
 uniform from a caller-supplied numpy ``Generator``; the trial engine keeps
-the masses as segments and samples whole arrays of uniforms with a
-sampler that equals ``sample_cdf`` on the expanded masses, so a fixed seed
-fully determines every outcome either way.
+each register as its two exact outcome masses and samples whole arrays
+of uniforms from their closed-form cumulative masses, the same rule on
+masses that are never expanded, so a fixed seed fully determines every
+outcome either way.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarra
     normalized); zero-probability outcomes are never selected.
 
     The dense measurements draw through this routine, and the trial
-    engine's segment sampler is defined by it: each uniform variate in
+    engine's sampler follows the same rule: each uniform variate in
     [0, 1), a float or an array of them, is scaled by the total mass and
     located with a right-sided binary search. Returns an int for a float
     and an index array of the same shape for an array.

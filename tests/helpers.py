@@ -106,14 +106,15 @@ class FixedDraw:
 
 
 def expand(cdf):
-    """The dense cumulative mass array a ``SegmentedCdf`` stands for (None
-    stays None): ``first[k] + j * step[k]`` for j below ``count[k]``,
-    segment after segment."""
+    """The dense cumulative mass array a ``TwoValuedCdf`` stands for (None
+    stays None): c(i) = (i + 1 - rank(i)) * unmarked + rank(i) * marked,
+    where rank(i) counts the marked indices at or below i."""
     if cdf is None:
         return None
-    start = np.cumsum(cdf.count) - cdf.count
-    offsets = np.arange(cdf.size) - np.repeat(start, cdf.count)
-    return np.repeat(cdf.first, cdf.count) + offsets * np.repeat(cdf.step, cdf.count)
+    ranks = np.zeros(cdf.size, dtype=np.int64)
+    ranks[cdf.indices] = 1
+    ranks = np.cumsum(ranks)
+    return (np.arange(1, cdf.size + 1) - ranks) * cdf.unmarked + ranks * cdf.marked
 
 
 def norm_sq(amplitudes: np.ndarray) -> float:

@@ -307,18 +307,19 @@ def test_cli_run_never_imports_numpy_random(tmp_path):
     # Every draw comes from seeding.first_draws, so a CLI run needs no numpy
     # Generator; importing numpy.random alone adds several MiB of peak RSS.
     # Nor does it need numpy.ma, which np.unique without index outputs
-    # imports (about 12 ms and 0.6 MiB). Nor the dense layer (statevector):
-    # the engine works on amplitude pairs and mass segments.
+    # imports (about 12 ms and 0.6 MiB). Nor fractions (about 0.45 MiB):
+    # the exact masses are integer arithmetic and one int / int division.
+    # Nor the dense layer (statevector): the engine samples two masses.
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
     result = run_python(
         "import sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
-        "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print(code, *(m in sys.modules for m in ('numpy.random', 'numpy.ma', 'fractions')))\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'probegrover'))\n"
     )
     assert result.stdout.splitlines() == [
-        "0 False False",
+        "0 False False False",
         "probegrover probegrover.cli probegrover.distributed probegrover.errors "
         "probegrover.grover probegrover.ledger probegrover.seeding",
     ], result.stderr

@@ -405,12 +405,17 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("seed", 1.5), ("trials", 2.5), ("repeat_rounds", 2.5), ("db_size", 16.0),
-         ("num_subsystems", "4")],
+         ("num_subsystems", "4"), ("global_marked", 777), ("global_marked", None),
+         ("global_marked", 1.5)],
     )
     def test_non_integer_fields_rejected(self, field, value):
-        kwargs = {"strategy": SEMICLASSICAL_REPEAT, "repeat_rounds": 2, field: value}
-        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
-            config(**kwargs)
+        kwargs = {
+            "db_size": 16, "num_subsystems": 4, "global_marked": {10},
+            "strategy": SEMICLASSICAL_REPEAT, "seed": 7, "repeat_rounds": 2, field: value,
+        }
+        expected = "an iterable of integers" if field == "global_marked" else "an integer"
+        with pytest.raises(ConfigurationError, match=f"{field} must be {expected}"):
+            ExperimentConfig(**kwargs)
 
     def test_non_integer_marked_index_rejected(self):
         with pytest.raises(ConfigurationError, match="marked index must be an integer"):

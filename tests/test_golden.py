@@ -8,17 +8,30 @@ difference. The all-strategy run exercises the comparison table; the
 probe-only run exercises a one-row report. The wide run (64 slices holding
 3, 2, 1 and 1 marked items, five repeat rounds) exercises several winners
 per trial, a six-level OR tree and slices with several solutions.
+
+The benchmark's own workloads are pinned too, by the sha256 of their
+seed-1 reports in ``perfbench/digests.json``, which version 0.1.0 wrote.
+Version 0.2.0 samples from exact masses; an outcome moves only where its
+uniform falls between an old and an exact boundary, and none of these
+reports moved, so each still hashes to its 0.1.0 pin once its envelope
+names that version.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from probegrover import __version__
 from probegrover.cli import run_command
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_DIR = Path(__file__).parents[1] / "perfbench"
 COMMON = [
     "--db-size", "64", "--subsystems", "4", "--marked", "37,5",
     "--trials", "200", "--repeat-rounds", "3", "--seed", "1",
@@ -44,3 +57,28 @@ def test_report_bytes_match_golden(tmp_path, argv, stem, fmt):
     out = tmp_path / f"report.{fmt}"
     assert run_command([*argv, "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.{fmt}").read_bytes()
+
+
+def _bench_workloads() -> dict:
+    """``perfbench/workloads.py``'s workloads; that directory is no package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their module through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_reports_match_their_0_1_0_digests(capsys, name):
+    pins = json.loads((BENCH_DIR / "digests.json").read_text())
+    assert pins["seed"] == 1
+    assert run_command(WORKLOADS[name].argv(1)) == 0
+    report = capsys.readouterr().out
+    line = f'"version": "{__version__}"'
+    assert json.loads(report)["version"] == __version__ and report.count(line) == 1
+    restored = report.replace(line, '"version": "0.1.0"').encode()
+    assert hashlib.sha256(restored).hexdigest() == pins["versions"]["0.1.0"][name]

@@ -20,7 +20,7 @@ from probegrover import (
     run_grover,
     success_probability,
 )
-from probegrover.grover import _COMPLEX_LEAF, _FLOAT_LEAF, _SCALAR_NODES, _TwoValueSum
+from probegrover.grover import _SCALAR_NODES, _TwoValueSum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -193,7 +193,7 @@ def test_two_value_sum_replays_numpy_reduce(num_qubits):
     ]
     for marked in marked_sets:
         indices = np.array(sorted(marked))
-        total = _TwoValueSum(num_qubits, indices, _COMPLEX_LEAF)
+        total = _TwoValueSum(num_qubits, indices)
         for unmarked, hit in value_pairs:
             amps = np.full(size, unmarked)
             amps[indices] = hit
@@ -209,8 +209,8 @@ SWITCH_COUNTS = [_SCALAR_NODES - 1, _SCALAR_NODES, _SCALAR_NODES + 1, 2 * _SCALA
 
 def spread(size: int, count: int, offset: int = 0) -> list[int]:
     """``count`` marked items spaced evenly over ``size`` items, so at 2^20
-    items each sits in its own leaf and its own parent at both widths, at
-    successive offsets inside its leaf."""
+    items each sits in its own leaf and its own parent, at successive
+    offsets inside its leaf."""
     step = size // count
     return [i * step + (offset + i) % step for i in range(count)]
 
@@ -223,7 +223,7 @@ SPACED = list(range(0, 1 << 20, 128))
 @st.composite
 def two_valued_registers(draw) -> tuple[int, list[int]]:
     """A register size up to 2^20 and its sorted marked indices: none, one,
-    all, the items on leaf edges of both widths, a random set, marks in
+    all, the items on leaf edges, a random set, marks in
     distinct leaves with as many marked-holding nodes as the levels around
     the numpy-to-scalar switch have, or every 64th, 128th or 256th item
     (leaves that share one marked pattern)."""
@@ -250,45 +250,34 @@ def two_valued_registers(draw) -> tuple[int, list[int]]:
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(
-    two_valued_registers(),
-    st.sampled_from([(np.complex128, _COMPLEX_LEAF), (np.float64, _FLOAT_LEAF)]),
-    st.lists(st.floats(-1e200, 1e200), min_size=4, max_size=4),
-)
-@example((20, []), (np.float64, _FLOAT_LEAF), [0.5, 0.0, 3.0, 0.0])  # no marked item
-@example((20, list(range(1 << 20))), (np.float64, _FLOAT_LEAF), [0.1, 0.0, 0.2, 0.0])  # K=N
-@example((7, [0, 127]), (np.float64, _FLOAT_LEAF), [0.0, 0.0, 1e-3, 0.0])  # one float leaf
-@example((20, [63, 64, 127, 128]), (np.complex128, _COMPLEX_LEAF), [1.0, -0.0, -2.0, 0.0])
+@given(two_valued_registers(), st.lists(st.floats(-1e200, 1e200), min_size=4, max_size=4))
+@example((20, []), [0.5, 0.0, 3.0, 0.0])  # no marked item
+@example((20, list(range(1 << 20))), [0.1, 0.0, 0.2, 0.0])  # K=N
+@example((6, [0, 63]), [0.0, 0.0, 1e-3, 0.0])  # one leaf
+@example((20, [63, 64, 127, 128]), [1.0, -0.0, -2.0, 0.0])
 # Levels just at, and one just above, the numpy-to-scalar switch.
-@example((20, AT_SWITCH), (np.complex128, _COMPLEX_LEAF), [0.3, -1e-9, -0.7, 2.0])
-@example((20, ABOVE_SWITCH), (np.complex128, _COMPLEX_LEAF), [0.3, -1e-9, -0.7, 2.0])
-@example((20, AT_SWITCH), (np.float64, _FLOAT_LEAF), [1e-300, 0.0, 1e300, 0.0])
-@example((20, ABOVE_SWITCH), (np.float64, _FLOAT_LEAF), [1e-300, 0.0, 1e300, 0.0])
+@example((20, AT_SWITCH), [0.3, -1e-9, -0.7, 2.0])
+@example((20, ABOVE_SWITCH), [0.3, -1e-9, -0.7, 2.0])
+@example((20, AT_SWITCH), [1e-300, 0.0, 1e300, 0.0])
+@example((20, ABOVE_SWITCH), [1e-300, 0.0, 1e300, 0.0])
 # 8192 leaves that all share one marked pattern.
-@example((20, SPACED), (np.complex128, _COMPLEX_LEAF), [1e-3, 1e-3, -1.0, -0.0])
-@example((20, SPACED), (np.float64, _FLOAT_LEAF), [1e-3, 0.0, 0.5, 0.0])
-def test_two_value_sum_replays_add_reduce_at_both_leaf_widths(register, kind, parts):
-    # The float width is the probe's branch sums; fails if numpy changes the
-    # blocking of its pairwise sum for either dtype.
+@example((20, SPACED), [1e-3, 1e-3, -1.0, -0.0])
+def test_two_value_sum_replays_add_reduce(register, parts):
+    # Fails if numpy changes the blocking of its pairwise complex sum.
     num_qubits, marked = register
-    dtype, leaf = kind
-    if dtype is np.complex128:
-        unmarked, hit = dtype(complex(*parts[:2])), dtype(complex(*parts[2:]))
-    else:
-        unmarked, hit = dtype(parts[0]), dtype(parts[2])
+    unmarked, hit = np.complex128(complex(*parts[:2])), np.complex128(complex(*parts[2:]))
     indices = np.array(marked, dtype=np.intp)
     dense = np.full(1 << num_qubits, unmarked)
     dense[indices] = hit
-    replayed = _TwoValueSum(num_qubits, indices, leaf)(unmarked, hit)
-    assert type(replayed) is dtype
+    replayed = _TwoValueSum(num_qubits, indices)(unmarked, hit)
+    assert type(replayed) is np.complex128
     assert bits(replayed).tolist() == bits(np.add.reduce(dense)).tolist()
 
 
-@pytest.mark.parametrize("leaf", [_COMPLEX_LEAF, _FLOAT_LEAF])
 @pytest.mark.parametrize("count", SWITCH_COUNTS)
-def test_spread_marks_reach_both_kinds_of_level(leaf, count):
+def test_spread_marks_reach_both_kinds_of_level(count):
     # The spread examples above exercise the switch: numpy levels below it
     # exactly when a level holds more than _SCALAR_NODES marked nodes.
-    total = _TwoValueSum(20, np.array(spread(1 << 20, count)), leaf)
+    total = _TwoValueSum(20, np.array(spread(1 << 20, count)))
     assert bool(total.vector_levels) == (count > _SCALAR_NODES)
     assert total.scalar_adds

@@ -38,7 +38,7 @@ from probegrover import (
 )
 from probegrover import distributed
 from probegrover.distributed import count_decision_steps, summarize_trials
-from probegrover.grover import run_grover_pair
+from probegrover.grover import outcome_masses
 
 
 def dense_trial(cfg: ExperimentConfig, trial: int):
@@ -202,14 +202,15 @@ def test_trials_do_not_depend_on_the_trial_count(cfg, extra):
 )
 def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
     # Marked 37 and 5 both sit at local index 5 of their 16-item slices, so
-    # the four slices have two distinct (size, local marked) keys.
+    # the four slices have two distinct (size, local marked) keys, with one
+    # and no solution: one mass computation each.
     calls = []
 
-    def counting_run_grover_pair(num_qubits, marked):
-        calls.append((num_qubits, frozenset(marked)))
-        return run_grover_pair(num_qubits, marked)
+    def counting_outcome_masses(size, solutions):
+        calls.append((size, solutions))
+        return outcome_masses(size, solutions)
 
-    monkeypatch.setattr(distributed, "run_grover_pair", counting_run_grover_pair)
+    monkeypatch.setattr(distributed, "outcome_masses", counting_outcome_masses)
     for trials in (1, 40):
         calls.clear()
         cfg = ExperimentConfig(64, 4, frozenset({37, 5}), strategy, seed=1, trials=trials)

@@ -1,72 +1,75 @@
-"""What ``prepare`` keeps per distinct slice: pinned bytes at the size the
-benchmark runs, every mass equal to the dense chain's bit for bit, segments
-that replay ``np.cumsum`` and sample as the dense array does, one
-preparation per distinct local marked set that ``partition`` hands out, and
-memory that grows with neither the slice size nor the repeat rounds."""
+"""What ``prepare`` keeps per distinct slice: pinned masses at the size the
+benchmark runs, masses that are the correctly rounded exact values and
+near the dense chain's, a sampler that inverts the exact cumulative
+masses, one preparation per distinct local marked set that ``partition``
+hands out, and memory that grows with neither the slice size nor the
+repeat rounds."""
 
 from __future__ import annotations
 
-import hashlib
-import math
 import tracemalloc
+from bisect import bisect_right
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probegrover import (
     ALL_STRATEGIES,
     ExperimentConfig,
-    InvariantError,
     PROBE,
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
     apply_boolean_oracle,
     compose_with_probe,
+    iteration_count,
     partition,
     run_grover,
+    run_trials,
 )
 from probegrover import distributed
-from probegrover.distributed import prepare, summarize_trials
-from probegrover.grover import run_grover_pair
+from probegrover.distributed import TwoValuedCdf, prepare, summarize_trials
+from probegrover.grover import outcome_masses
 from probegrover.statevector import collapse_probe, probe_branch_masses
 
 from helpers import expand, partitions
 
 
-def digest(cdf) -> str | None:
-    """sha256 of the dense cumulative masses a preparation stands for."""
-    return None if cdf is None else hashlib.sha256(expand(cdf).tobytes()).hexdigest()
+def exact_masses(size: int, solutions: int) -> tuple[Fraction, Fraction]:
+    """Each unmarked and each marked item's mass after the scheduled
+    iterations, as exact rationals: the amplitude pair, scaled by
+    sqrt(size), through one phase oracle and one reflection about the mean
+    per iteration."""
+    unmarked = hit = Fraction(1)
+    for _ in range(iteration_count(size, solutions)):
+        mean = ((size - solutions) * unmarked - solutions * hit) / size
+        unmarked, hit = 2 * mean - unmarked, 2 * mean + hit
+    return unmarked * unmarked / size, hit * hit / size
 
 
-# sha256 of (cdf, fired_cdf) bytes for each distinct preparation, in the
-# order ``prepare`` returns them, at N=2^20 and M=4; written by the dense chain (run_grover's complex
-# register, compose_with_probe, apply_boolean_oracle, born masses).
+# Each distinct preparation's slice masses at N=2^20 and M=4, in the order
+# ``prepare`` returns them: (solutions, unmarked, marked), the masses as
+# float.hex. Each equals exact_masses correctly rounded.
 PREPARE_PINS = [
     (
         PROBE,
         {12345},
         [
-            (
-                "c441c206fb46ea41f42ae0af91ccfcf3f4b99f60f620bce67f6175f971fb85cb",
-                "810494951ad4856ffdb503e3e406b3fce1b13ff4630843e179fad8daa11747c9",
-            ),
-            ("5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005", None),
+            (1, "0x1.222646f8653b5p-37", "0x1.ffffb77680645p-1"),
+            (0, "0x1.0000000000000p-18", "0x1.0000000000000p-18"),
         ],
     ),
-    (
-        SEQUENTIAL,
-        {12345},
-        [("7e7dac52ceb310540d4a5b63e1e6d27b8e9d3afe353158e0ce07b6b8abc2a34c", None)],
-    ),
+    (SEQUENTIAL, {12345}, [(1, "0x1.04f4eaa680b07p-42", "0x1.fffff7d8592d4p-1")]),
     (
         SEMICLASSICAL_VERIFY,
         {5, 140000, 262143},
         [
-            ("1b1fb5a3d210ab7a90504951ea6a0611c764a6f1fe530c9380bd11d71abd085e", None),
-            ("68da29b17ef1e67a30d47b944238a2a8c5debdf28b763f8a66638f4b34e62ea9", None),
+            (3, "0x1.56f5a8776ecf4p-36", "0x1.5554e303c8404p-2"),
+            (0, "0x1.0000000000000p-18", "0x1.0000000000000p-18"),
         ],
     ),
 ]
@@ -76,8 +79,24 @@ PREPARE_PINS = [
     "strategy, marked, pins", PREPARE_PINS, ids=["probe", "sequential", "verify-three-in-one"]
 )
 def test_prepared_bytes_match_pin_at_twenty_qubits(strategy, marked, pins):
-    preparations, _ = prepare(ExperimentConfig(1 << 20, 4, frozenset(marked), strategy, seed=1))
-    assert [(digest(p.cdf), digest(p.fired_cdf)) for p in preparations] == pins
+    cfg = ExperimentConfig(1 << 20, 4, frozenset(marked), strategy, seed=1)
+    size = cfg.db_size if strategy == SEQUENTIAL else cfg.db_size // cfg.num_subsystems
+    preparations, _ = prepare(cfg)
+    assert len(preparations) == len(pins)
+    for prepared, (count, unmarked, hit) in zip(preparations, pins):
+        unmarked, hit = float.fromhex(unmarked), float.fromhex(hit)
+        assert (unmarked, hit) == tuple(map(float, exact_masses(size, count)))
+        cdf, fired = prepared.cdf, prepared.fired_cdf
+        if strategy == PROBE:
+            assert (cdf.size, cdf.indices.tolist()) == (2, [1])
+            assert (cdf.unmarked, cdf.marked) == ((size - count) * unmarked, count * hit)
+            assert (fired is None) == (count == 0)
+            if fired is not None:
+                assert (len(fired.indices), fired.unmarked, fired.marked) == (count, 0.0, 1.0)
+        else:
+            assert (cdf.size, len(cdf.indices)) == (size, count)
+            assert (cdf.unmarked, cdf.marked) == (unmarked, hit)
+            assert fired is None
 
 
 def bits(values: np.ndarray | None) -> list[int] | None:
@@ -102,21 +121,39 @@ def dense_masses(strategy: str, num_qubits: int, marked: set[int]):
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 15))
-def test_prepared_masses_match_dense_chain_bit_for_bit(num_qubits):
+def test_prepared_masses_are_exact_and_near_the_dense_chain(num_qubits):
     # Calls the mass builder ``prepare`` runs once per distinct slice, so
     # every strategy is covered at every size (a repeat config needs N >= 8).
+    # Up to 2^12 items the register masses are the exact ones correctly
+    # rounded, and the probe's branches, products of them, are within one
+    # more rounding. At every size the dense float chain's cumulative masses
+    # are within (r + 1) * N * 2^-52 of the prepared ones after r
+    # iterations; the largest gap seen is half that bound, at N = 2.
     size = 1 << num_qubits
     rng = np.random.default_rng(num_qubits)
     counts = {0, 1, 2, 3, 5, 8, 17, 64, size // 3, size // 2, size - 1, size}
     for count in sorted(c for c in counts if c <= size):
         marked = set(rng.choice(size, count, replace=False).tolist())
+        bound = (iteration_count(size, count) + 1) * size * 2.0**-52
+        exact = exact_masses(size, count) if num_qubits <= 12 else None
         for strategy in ALL_STRATEGIES:
             cdf, fired, _ = distributed._distributions(
                 strategy, num_qubits, frozenset(marked), 2
             )
+            if exact and strategy == PROBE:
+                branches = ((size - count) * exact[0], count * exact[1])
+                for got, want in zip((cdf.unmarked, cdf.marked), branches):
+                    assert abs(Fraction(got) - want) <= want / 2**52, (strategy, count)
+            elif exact:
+                assert (cdf.unmarked, cdf.marked) == tuple(map(float, exact)), (strategy, count)
             expected_cdf, expected_fired = dense_masses(strategy, num_qubits, marked)
-            assert bits(expand(cdf)) == bits(expected_cdf), (strategy, count)
-            assert bits(expand(fired)) == bits(expected_fired), (strategy, count)
+            assert np.abs(expand(cdf) - expected_cdf).max() <= bound, (strategy, count)
+            assert (fired is None) == (expected_fired is None)
+            if fired is not None:
+                # The fired register is held as one unit of mass per marked item.
+                assert fired.indices.tolist() == sorted(marked)
+                gap = np.abs(expand(fired) / count - expected_fired).max()
+                assert gap <= bound, (strategy, count)
 
 
 @pytest.mark.parametrize(
@@ -133,10 +170,11 @@ def test_prepared_masses_match_dense_chain_bit_for_bit(num_qubits):
 def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
     strategy, db_size, num_subsystems
 ):
-    # The masses are O(K + log N) segments, so the bound is far below one
-    # float per item: a constant 64 KiB whatever the slice size (a 2^24-item
-    # float buffer alone is 128 MiB), plus the 8-byte slice map. At 2^16
-    # two-item slices it admits no Python object per slice.
+    # The masses are two floats and O(K) sampler tables, so the bound is far
+    # below one float per item: a constant 16 KiB whatever the slice size (a
+    # 2^24-item float buffer alone is 128 MiB; 2.6-5.2 KiB is seen), plus the
+    # 8-byte slice map. At 2^16 two-item slices it admits no Python object
+    # per slice.
     cfg = ExperimentConfig(db_size, num_subsystems, frozenset({12345}), strategy, seed=1)
     tracemalloc.start()
     try:
@@ -144,16 +182,16 @@ def test_prepare_peak_memory_is_one_float_per_item_of_each_distinct_slice(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * len(which) + (64 << 10)
+    assert peak <= 8 * len(which) + (16 << 10)
 
 
 @pytest.mark.parametrize("strategy", [SEQUENTIAL, PROBE])
 def test_prepare_peak_memory_does_not_grow_with_leaves_sharing_a_pattern(strategy):
     # 8192 marked items 0, 128, 256, ... at N=2^20 (8 Grover iterations) sit
-    # in 8192 leaves of the pairwise sum that all share one marked pattern.
-    # The leaf sums reduce that pattern once, so the peak is the O(K) mass
-    # segments: 3.0 MiB sequential, 3.1 MiB probe, where a row per marked
-    # leaf peaked at 9.7 and 10.1 MiB.
+    # in 8192 leaves of numpy's pairwise sum that all share one marked
+    # pattern; the exact masses read only their count. The peak is the O(K)
+    # marked set and sampler tables: 1.1 MiB for either strategy, where
+    # replaying the float chain over the leaves peaked at 3.0 and 3.1 MiB.
     cfg = ExperimentConfig(1 << 20, 1, frozenset(range(0, 1 << 20, 128)), strategy, seed=1)
     tracemalloc.start()
     try:
@@ -161,7 +199,7 @@ def test_prepare_peak_memory_does_not_grow_with_leaves_sharing_a_pattern(strateg
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * (1 << 20)
+    assert peak <= 1.5 * (1 << 20)
 
 
 def test_draw_memory_does_not_grow_with_repeat_rounds():
@@ -204,55 +242,94 @@ def test_hash_temporaries_of_one_key_block():
     assert peak < 0.7 * (1 << 20)
 
 
-# Masses: zero, any float in [0, 1], or a dyadic whose lowest set bit makes
-# an addition tie halfway between two floats in some binade the sums pass.
-masses = st.one_of(
-    st.just(0.0),
-    st.floats(0.0, 1.0),
-    st.builds(math.ldexp, st.integers(1, 2**53 - 1), st.integers(-110, -53)),
-)
+# Masses: zero, or any float from 2^-80 to 1. The engine's masses are
+# never subnormal, where a product would lose its relative precision.
+masses = st.just(0.0) | st.floats(2.0**-80, 1.0)
 
 
 @st.composite
-def two_valued_masses(draw) -> tuple[int, np.ndarray, float, float]:
-    """A size up to 2^20, sorted marked indices, and the two masses: drawn,
-    or the engine's own register masses after the Grover loop."""
-    num_qubits = draw(st.integers(1, 20))
+def two_valued_cdfs(draw) -> TwoValuedCdf:
+    """A sampler over up to 2^12 items with sorted marked indices and two
+    masses: the engine's own register masses, or drawn ones."""
+    num_qubits = draw(st.integers(1, 12))
     size = 1 << num_qubits
-    count = draw(st.sampled_from([0, 1, size]) | st.integers(0, min(size, 2000)))
+    count = draw(st.sampled_from([0, 1, size // 2 + 1, size]) | st.integers(0, size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    marked = np.sort(rng.choice(size, count, replace=False)).tolist()
+    indices = np.sort(rng.choice(size, count, replace=False)).astype(np.intp)
     if draw(st.booleans()):
-        unmarked, hit = np.abs(run_grover_pair(num_qubits, marked)[0]) ** 2
+        unmarked, hit = outcome_masses(size, count)
     else:
         unmarked, hit = draw(masses), draw(masses)
-    return size, np.array(marked, dtype=np.intp), float(unmarked), float(hit)
+    cdf = TwoValuedCdf(size, indices, unmarked, hit)
+    assume(cdf.total > 0.0)
+    return cdf
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(two_valued_masses(), st.integers(0, 2**32))
-@example((8, np.array([3]), 0.0, 0.0), 0)  # zero total mass
-@example((1 << 20, np.array([12345]), 2.0**-20, 0.5), 1)
-@example((16, np.arange(16), 0.0, math.ldexp(3, -60)), 2)  # K=N
-def test_segments_replay_cumsum_and_sample_as_the_dense_array(args, seed):
-    size, indices, unmarked, hit = args
-    cdf = distributed._two_valued_cumsum(size, indices, unmarked, hit)
-    dense = np.full(size, unmarked)
-    dense[indices] = hit
-    expected = np.cumsum(dense)
-    assert bits(expand(cdf)) == bits(expected)
-    if expected[-1] <= 0.0:
-        with pytest.raises(InvariantError, match="zero total mass"):
-            cdf.sample(0.5)
-        return
-    # u = 0, the largest uniform below 1, every segment end over the total,
-    # and random uniforms.
+@given(two_valued_cdfs(), st.integers(0, 2**32))
+@example(TwoValuedCdf(4, np.array([2]), *outcome_masses(4, 1)), 0)  # unmarked mass 0
+@example(TwoValuedCdf(16, np.arange(16), *outcome_masses(16, 16)), 1)  # K = N
+@example(TwoValuedCdf(64, np.arange(1, 64, 2)[:17], *outcome_masses(64, 17)), 2)  # K > N/2
+@example(TwoValuedCdf(2, np.array([1]), 1.0, 0.0), 3)  # a probe that cannot fire
+@example(TwoValuedCdf(4096, np.empty(0, np.intp), *outcome_masses(4096, 0)), 4)  # K = 0
+@example(TwoValuedCdf(16, np.array([1, 4, 5, 9]), 0.0, 1.0), 5)  # a fired register
+def test_sampler_inverts_the_exact_cdf(cdf, seed):
+    # The reference sums the masses as exact rationals. A draw may differ
+    # from its exact inverse only where the scaled uniform lies within
+    # 2^-48 of the total of an exact boundary: the sampler's few roundings
+    # move a boundary by about 12 * 2^-53 of the total. The engine's masses
+    # never draw an item of zero mass, even there: its unmarked mass is 0
+    # only at K = N/4, where the total is exactly 1, and its marked mass
+    # never is.
+    size, marked = cdf.size, set(cdf.indices.tolist())
+    engine = (cdf.unmarked, cdf.marked) == outcome_masses(size, len(marked))
+    item = [Fraction(cdf.marked if i in marked else cdf.unmarked) for i in range(size)]
+    cumulative = list(accumulate(item))
+    total = cumulative[-1]
+    slack = total / 2**48
+    # u = 0, the largest uniform below 1, every marked boundary and its
+    # neighbours, and random uniforms.
+    ends = np.array([float(cumulative[i] / total) for i in sorted(marked)])
     uniforms = np.concatenate(
-        [[0.0, 1.0 - 2.0**-53], cdf.last / cdf.last[-1], np.random.default_rng(seed).random(500)]
+        [
+            [0.0, 1.0 - 2.0**-53],
+            ends,
+            np.nextafter(ends, 0.0),
+            np.nextafter(ends, 1.0),
+            np.random.default_rng(seed).random(200),
+        ]
     )
-    drawn = np.minimum(np.searchsorted(expected, uniforms * expected[-1], side="right"), size - 1)
-    assert cdf.sample(uniforms).tolist() == drawn.tolist()
+    uniforms = uniforms[uniforms < 1.0]
+    drawn = cdf.sample(uniforms)
+    assert drawn.dtype == np.intp
+    for x, index in zip(uniforms.tolist(), drawn.tolist()):
+        scaled = Fraction(x) * total
+        low = min(bisect_right(cumulative, scaled - slack), size - 1)
+        high = min(bisect_right(cumulative, scaled + slack), size - 1)
+        assert low <= index <= high, (x, index, low, high)
+        assert item[index] > 0 or not engine, (x, index)
     assert cdf.sample(float(uniforms[-1])) == drawn[-1]
+    assert type(cdf.sample(0.5)) is int
+    if engine and not marked:
+        # Without solutions each mass is exactly 1/N, so a draw is floor(x * N).
+        assert drawn.tolist() == np.floor(uniforms * size).astype(np.intp).tolist()
+    if (cdf.unmarked, cdf.marked) == (0.0, 1.0):
+        # The fired register's form: a draw is marked item floor(x * K),
+        # exactly, ties at x = j / K included.
+        picks = np.floor(uniforms * len(marked)).astype(np.intp)
+        assert drawn.tolist() == cdf.indices[picks].tolist()
+
+
+def test_probe_fires_when_every_item_is_marked():
+    # K = N runs no iteration (floor(pi / 4) = 0), yet all the mass is on
+    # marked items, so every probe reads 1 and the register is uniform.
+    cfg = ExperimentConfig(16, 4, frozenset(range(16)), PROBE, seed=1, trials=50)
+    (prepared,), _ = prepare(cfg)
+    assert prepared.ledger.grover_iterations == 0
+    assert (prepared.cdf.unmarked, prepared.cdf.marked) == (0.0, 1.0)
+    reports = run_trials(cfg)
+    assert all(r.readouts == (1, 1, 1, 1) and r.correct for r in reports)
+    assert {i for r in reports for i in r.recovered} == set(range(16))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
