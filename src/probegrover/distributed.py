@@ -94,14 +94,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("db_size", "num_subsystems", "seed", "trials", "repeat_rounds"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        try:
-            items = iter(self.global_marked)
-        except TypeError:
-            raise ConfigurationError(
-                f"global_marked must be an iterable of integers (got {self.global_marked!r})"
-            ) from None
-        marked = frozenset(_integer("marked index", i) for i in items)
-        object.__setattr__(self, "global_marked", marked)
+        object.__setattr__(self, "global_marked", _marked_set(self.global_marked))
         self.validate()
 
     def validate(self) -> None:
@@ -132,6 +125,17 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer (got {value!r})") from None
+
+
+def _marked_set(marked) -> frozenset[int]:
+    """``marked`` as a frozenset of ints, if it is an iterable of integers."""
+    try:
+        items = iter(marked)
+    except TypeError:
+        raise ConfigurationError(
+            f"global_marked must be an iterable of integers (got {marked!r})"
+        ) from None
+    return frozenset(_integer("marked index", i) for i in items)
 
 
 @dataclass(frozen=True)
@@ -210,10 +214,14 @@ def _buckets(size: int, global_marked: Collection[int]) -> tuple[np.ndarray, lis
 
 
 def partition(
-    db_size: int, num_subsystems: int, global_marked: Collection[int] = ()
+    db_size: int, num_subsystems: int, global_marked: Iterable[int] = ()
 ) -> dict[int, frozenset[int]]:
     """Split the database into equal power-of-two slices, mapping each slice
-    id that holds a marked index to those indices in local coordinates."""
+    id that holds a marked index to those indices in local coordinates.
+    The arguments are checked as ``ExperimentConfig`` checks its own."""
+    db_size = _integer("db_size", db_size)
+    num_subsystems = _integer("num_subsystems", num_subsystems)
+    global_marked = _marked_set(global_marked)
     _check_partition(db_size, num_subsystems, global_marked)
     ids, local = _buckets(db_size // num_subsystems, global_marked)
     return dict(zip(ids.tolist(), local))
@@ -338,10 +346,10 @@ def find_winner(probe_bits: Sequence[int]) -> WinnerDecision:
     decisions; all-zeros returns no winners without descending; several
     set bits are all returned (result multiplicity).
     """
-    bits = [int(b) for b in probe_bits]
+    bits = list(probe_bits)
     if not bits:
         raise ValueError("probe_bits must be non-empty")
-    if any(b not in (0, 1) for b in bits):
+    if not all(isinstance(b, (int, np.integer, np.bool_)) and b in (0, 1) for b in bits):
         raise ValueError(f"probe_bits must contain only 0 or 1, got {probe_bits!r}")
 
     winners: list[int] = []

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probegrover import (
     ConfigurationError,
@@ -19,6 +20,7 @@ from probegrover import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
+    TrialSummary,
     child_rng,
     find_winner,
     iter_trials,
@@ -26,8 +28,9 @@ from probegrover import (
     partition,
     run_trials,
     success_probability,
+    summarize_trials,
 )
-from probegrover.distributed import prepare, recover_global
+from probegrover.distributed import ALL_STRATEGIES, prepare, recover_global
 from probegrover.statevector import sample_cdf
 
 from helpers import expand, partitions
@@ -82,6 +85,11 @@ class TestPartition:
         # Neither dropped nor wrapped round to the last slice.
         with pytest.raises(ConfigurationError, match="out of range for db-size 16"):
             partition(16, 4, {index})
+
+    @pytest.mark.parametrize("args", [(16, 4, [1.5]), (16.0, 4), (16, 4, ["3"])])
+    def test_non_integers_rejected(self, args):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            partition(*args)
 
 
 class TestLocalizeMarked:
@@ -182,6 +190,15 @@ class TestFindWinner:
             find_winner([])
         with pytest.raises(ValueError):
             find_winner([0, 2])
+
+    @pytest.mark.parametrize("bits", [[0.5, 1.9], ["1", "0"], [1.0, 0]])
+    def test_rejects_non_integer_bits(self, bits):
+        with pytest.raises(ValueError, match="only 0 or 1"):
+            find_winner(bits)
+
+    def test_takes_numpy_integers_and_bools(self):
+        assert find_winner(np.array([False, True])).winners == (1,)
+        assert find_winner([np.int64(0), True, np.uint8(1), 0]).winners == (1, 2)
 
 
 class TestRecoverGlobal:
@@ -432,3 +449,92 @@ class TestConfigValidation:
             config(strategy=strategy, repeat_rounds=-3)
         # The sqrt(db-size) bound is the repeat strategy's only: 3 * 3 >= 8.
         config(db_size=8, num_subsystems=2, marked=(3,), strategy=strategy, repeat_rounds=3)
+
+
+# How a caller may pass an integer, and the other kinds of value it may pass
+# by mistake: floats, strings, None and a non-iterable object. Python ints
+# are listed thrice so that enough drawn configs are valid and get run.
+INTEGER_KINDS = [int, int, int, np.int64, np.int32, bool]
+MISTAKEN_KINDS = [float, lambda v: v + 0.5, str, lambda v: None, lambda v: object()]
+
+
+def argument(draw, ints: st.SearchStrategy, mistaken: bool):
+    kinds = MISTAKEN_KINDS if mistaken else INTEGER_KINDS
+    return draw(st.sampled_from(kinds))(draw(ints))
+
+
+def marked_argument(draw, mistaken: bool):
+    """A list, tuple, set, frozenset or one-shot iterator of index
+    arguments. A mistaken one holds one index of another kind, or is a
+    non-iterable or a string in its place."""
+    indices = st.integers(-1, 15)
+    items = [argument(draw, indices, False) for _ in range(draw(st.integers(0, 4)))]
+    container = draw(st.sampled_from([list, tuple, set, frozenset, iter]))
+    if not mistaken:
+        return container(items)
+    shape = draw(st.sampled_from(["item", "scalar", "string"]))
+    if shape == "item":
+        return container([*items, argument(draw, indices, True)])
+    if shape == "scalar":
+        return argument(draw, indices, draw(st.booleans()))
+    return "".join(map(str, items))
+
+
+@st.composite
+def call_arguments(draw, fields: tuple[str, ...]) -> dict:
+    """Arguments for ``fields`` of ``ExperimentConfig``, each an integer of
+    some integer type, with up to two of them passed as another kind."""
+    count = draw(st.sampled_from([0, 0, 1, 2]))
+    mistaken = set(draw(st.lists(st.sampled_from(fields), min_size=count, max_size=count)))
+    ints = {
+        "db_size": st.sampled_from([16, 32, 64, 4]),
+        "num_subsystems": st.sampled_from([1, 2, 4, 8]),
+        "seed": st.integers(0, 2**31 - 1),
+        "trials": st.integers(1, 3),
+        "repeat_rounds": st.integers(2, 5),
+    }
+    kwargs = {}
+    for name in fields:
+        if name == "global_marked":
+            kwargs[name] = marked_argument(draw, name in mistaken)
+        elif name == "strategy":
+            kwargs[name] = (
+                argument(draw, st.integers(0, 3), True)
+                if name in mistaken
+                else draw(st.sampled_from(ALL_STRATEGIES))
+            )
+        else:
+            kwargs[name] = argument(draw, ints[name], name in mistaken)
+    return kwargs
+
+
+CONFIG_FIELDS = (
+    "db_size", "num_subsystems", "global_marked", "strategy", "seed", "trials", "repeat_rounds"
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call_arguments(CONFIG_FIELDS))
+def test_config_builds_and_runs_or_raises_configuration_error(kwargs):
+    try:
+        cfg = ExperimentConfig(**kwargs)
+    except ConfigurationError:
+        return
+    summary = summarize_trials(cfg)
+    assert type(summary) is TrialSummary and summary.trials == cfg.trials
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call_arguments(("db_size", "num_subsystems", "global_marked")))
+def test_partition_buckets_or_raises_configuration_error(kwargs):
+    try:
+        buckets = partition(**kwargs)
+    except ConfigurationError:
+        return
+    num_subsystems = int(kwargs["num_subsystems"])
+    size = int(kwargs["db_size"]) // num_subsystems
+    assert list(buckets) == sorted(buckets)
+    for i, local in buckets.items():
+        assert type(i) is int and 0 <= i < num_subsystems
+        assert type(local) is frozenset and local
+        assert all(type(j) is int and 0 <= j < size for j in local)
