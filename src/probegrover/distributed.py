@@ -66,11 +66,11 @@ ALL_STRATEGIES = (PROBE, SEMICLASSICAL_VERIFY, SEMICLASSICAL_REPEAT, SEQUENTIAL)
 _SEED_SLOT = {name: slot for slot, name in enumerate(ALL_STRATEGIES)}
 _STAGE_RECOVER = 1
 
-# Seed-tree keys are hashed, and live pairs sampled, _BLOCK_KEYS per numpy
-# pass, and a chunk of trials holds about _BLOCK_KEYS slices' worth (at least
-# one trial). The size trades speed for transient memory only and cannot change a draw. A 2**12-key
-# block's hash temporaries peak at about 0.6 MiB (0.15 MiB at 2**10), and it
-# hashes a key in about 0.15 us against 0.25 us at 2**10.
+# Live (trial, slice) pairs are hashed and sampled _BLOCK_KEYS per block, and
+# a chunk of trials holds about _BLOCK_KEYS slices' worth (at least one
+# trial). The size trades speed for transient memory only and cannot change
+# a draw. A 2**12-key block's hash temporaries peak at about 0.6 MiB (0.15
+# MiB at 2**10), and it hashes a key in about 0.15 us against 0.25 us at 2**10.
 _BLOCK_KEYS = 1 << 12
 
 # Each slice costs about 95 B of peak memory at any repeat rounds, mostly one
@@ -104,8 +104,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"strategy must be one of {', '.join(ALL_STRATEGIES)} (got {self.strategy!r})"
             )
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1 (got {self.trials})")
+        # At most 2**32 trials, so a trial index is one seed-tree key word.
+        if not 1 <= self.trials <= 1 << 32:
+            raise ConfigurationError(f"trials must be between 1 and 2**32 (got {self.trials})")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative (got {self.seed})")
         rounds = self.repeat_rounds
@@ -419,39 +420,6 @@ def recover_global(
     return sub_id * size + prepared.fired_cdf.sample(uniform)
 
 
-def _uniforms(
-    config: ExperimentConfig,
-    stage: int,
-    first_trial: int,
-    rows: np.ndarray,
-    subs: np.ndarray,
-) -> np.ndarray:
-    """The first draw of stream (slot, first_trial + row, sub, stage) at each
-    (row, sub) pair of the index arrays ``rows`` and ``subs``, hashed
-    ``_BLOCK_KEYS`` keys at a time."""
-    drawn = np.empty(len(rows))
-    for start in range(0, len(rows), _BLOCK_KEYS):
-        block = slice(start, start + _BLOCK_KEYS)
-        keys = np.empty((len(drawn[block]), 4), dtype=np.uint64)
-        keys[:, 0] = _SEED_SLOT[config.strategy]
-        keys[:, 1] = rows[block] + first_trial
-        keys[:, 2] = subs[block]
-        keys[:, 3] = stage
-        drawn[block] = first_draws(config.seed, keys)
-    return drawn
-
-
-def _groups(kind: np.ndarray) -> list[tuple[int, slice]]:
-    """Each preparation in the sorted array ``kind``, with the slices of
-    ``kind`` that hold it, at most ``_BLOCK_KEYS`` items each."""
-    edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)]
-    return [
-        (int(kind[lo]), slice(start, min(start + _BLOCK_KEYS, hi)))
-        for lo, hi in zip(edges[:-1], edges[1:])
-        for start in range(lo, hi, _BLOCK_KEYS)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class _Columns:
     """One chunk of trials after the merge, one row per trial.
@@ -480,8 +448,10 @@ def _merge(
     stage 0 at every slice, the probe's recovery only at its winners and
     repeat round r only where rounds 0..r-1 agreed. The live (trial, slice)
     pairs are index arrays grouped by preparation (``order`` holds the
-    slice ids sorted by preparation) that shrink from stage to stage, and
-    each stage samples each preparation once, at its live pairs only.
+    slice ids sorted by preparation) that shrink from stage to stage. Each
+    stage walks them ``_BLOCK_KEYS`` at a time: one ``first_draws`` call
+    hashes a block's keys, and each run of one preparation in the block is
+    measured at once.
 
     - probe: the slices whose probe read 1 win; only their registers are
       measured (log2(slice size) qubits each), after an OR-tree scan of the
@@ -494,13 +464,23 @@ def _merge(
       (multiplicity). The sequential baseline is one slice and one round.
     """
 
-    def sample(stage: int) -> np.ndarray:
-        uniforms = _uniforms(config, stage, trials.start, rows, subs)
-        drawn = np.empty(len(rows), dtype=np.intp)
-        for n, group in _groups(which[subs]):
-            drawn[group] = prepared[n].cdf.sample(uniforms[group])
+    def draw(stage: int, measure=lambda prep, run, uniforms: prep.cdf.sample(uniforms)):
+        """``measure(preparation, pairs, uniforms)`` for each run of live
+        pairs of one preparation, the uniforms drawn at stage ``stage``."""
+        drawn = np.empty(len(rows), dtype=np.int64)
+        kinds = which[subs]
+        for start in range(0, len(rows), _BLOCK_KEYS):
+            block = slice(start, start + _BLOCK_KEYS)
+            trial = rows[block] + trials.start
+            uniforms = first_draws(config.seed, slot, stage, trial, subs[block])
+            kind = kinds[block]
+            edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), len(kind)]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                run = slice(start + lo, start + hi)
+                drawn[run] = measure(prepared[kind[lo]], run, uniforms[lo:hi])
         return drawn
 
+    slot = _SEED_SLOT[config.strategy]
     marked = np.fromiter(config.global_marked, dtype=np.int64)
     size = config.db_size // len(which)
     offsets = np.arange(len(which), dtype=np.int64) * size
@@ -508,18 +488,16 @@ def _merge(
     rows = np.tile(np.arange(len(trials)), len(which))
     subs = np.repeat(order, len(trials))
     readouts = np.empty((len(trials), len(which)), dtype=np.intp)
-    readouts[rows, subs] = sample(0)
+    readouts[rows, subs] = draw(0)
     if config.strategy == PROBE:
         winners = readouts == 1
         won = winners[rows, subs]
         rows, subs = rows[won], subs[won]
         bits = readouts[rows, subs]
-        uniforms = _uniforms(config, _STAGE_RECOVER, trials.start, rows, subs)
         recovered = np.zeros(readouts.shape, dtype=np.int64)
-        for n, g in _groups(which[subs]):
-            recovered[rows[g], subs[g]] = recover_global(
-                config, prepared[n], subs[g], bits[g], uniforms[g]
-            )
+        recovered[rows, subs] = draw(
+            _STAGE_RECOVER, lambda p, run, u: recover_global(config, p, subs[run], bits[run], u)
+        )
         merge_qubits = winners.sum(axis=1) * (size.bit_length() - 1)
         steps = count_decision_steps(winners)
     elif config.strategy == SEMICLASSICAL_VERIFY:
@@ -529,7 +507,7 @@ def _merge(
         for stage in range(1, _rounds(config)):
             if not len(rows):
                 break
-            agree = sample(stage) == readouts[rows, subs]
+            agree = draw(stage) == readouts[rows, subs]
             rows, subs = rows[agree], subs[agree]
         winners = np.zeros(readouts.shape, dtype=bool)
         winners[rows, subs] = True

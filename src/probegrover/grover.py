@@ -42,7 +42,10 @@ def _check_num_qubits(num_qubits: int) -> None:
 
 
 def _marked_indices(marked: Iterable[int], num_qubits: int) -> np.ndarray:
-    indices = sorted({int(i) for i in marked})
+    try:
+        indices = sorted({operator.index(i) for i in marked})
+    except TypeError:
+        raise ValueError(f"marked indices must be integers, got {marked!r}") from None
     if indices and not (0 <= indices[0] and indices[-1] < (1 << num_qubits)):
         raise ValueError(f"marked index out of range for {num_qubits} qubits: {indices}")
     return np.asarray(indices, dtype=np.intp)
@@ -87,12 +90,16 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     zero when no solution state exists.
     """
     size, solutions = _check_search_space(size, solutions)
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    try:
+        rounds = operator.index(iterations)
+    except TypeError:
+        rounds = -1
+    if rounds < 0:
+        raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     if solutions == 0:
         return 0.0
     theta = math.asin(math.sqrt(solutions / size))
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    return math.sin((2 * rounds + 1) * theta) ** 2
 
 
 def outcome_masses(size: int, solutions: int) -> tuple[float, float]:

@@ -1,24 +1,26 @@
 """Deterministic seed splitting for trials and sub-systems.
 
-One master seed fans out into independent child streams keyed by
-(strategy, trial, sub-system, stage). Because every consumer owns its own
-stream, results are identical whether sub-systems execute serially or in
-parallel, and each strategy reproduces the same numbers whether it runs
-alone or inside a combined batch.
+One master seed fans out into independent child streams keyed by the
+words (strategy slot, trial, sub-system, stage). Because every consumer
+owns its own stream, results are identical whether sub-systems execute
+serially or in parallel, and each strategy reproduces the same numbers
+whether it runs alone or inside a combined batch.
 
 ``child_rng`` builds one stream: numpy's ``SeedSequence`` with the key as
-its spawn key, feeding ``PCG64``. Most streams are read exactly once, so
-``first_draws`` computes the first ``random()`` of many keys at once by
-repeating that fixed integer arithmetic on numpy arrays; the two agree bit
-for bit, and the tests compare them on every seed class. The SeedSequence
-pool is held as four uint32 lanes, a (4, n) array whose products wrap mod
-2**32 as numpy's do, so one operation hashes and mixes a key word into all
-four pool words of every row; a key column that is the same on every row
-is hashed once, at shape (4, 1). PCG64 seeds with state 0 and
-inc = (initseq << 1) | 1, steps, adds initstate and steps again, and the
-first draw steps once more. Each step is s -> s*m + inc, so the state it
-outputs from is inc*(m**2 + m + 1) + initstate*m**2 mod 2**128: two
-products with constants, computed on 64-bit words.
+its spawn key, feeding ``PCG64``. The trial engine reads each stream once,
+so ``first_draws`` computes the first ``random()`` of many streams at once
+by repeating that fixed integer arithmetic on numpy arrays; the two agree
+bit for bit, and the tests compare them on every seed class. Each key word
+is one uint32 word of the spawn key, so every word is checked to lie in
+[0, 2**32). The SeedSequence pool is held as four uint32 lanes, a (4, n)
+array whose products wrap mod 2**32 as numpy's do, so one operation
+hashes and mixes a key word into all four pool words of every stream; a
+word that is the same for every stream is hashed once, at shape (4, 1).
+PCG64 seeds with state 0 and inc = (initseq << 1) | 1, steps, adds
+initstate and steps again, and the first draw steps once more. Each step
+is s -> s*m + inc, so the state it outputs from is
+inc*(m**2 + m + 1) + initstate*m**2 mod 2**128: two products with
+constants, computed on 64-bit words.
 """
 
 from __future__ import annotations
@@ -61,41 +63,38 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def first_draws(master_seed: int, keys) -> np.ndarray:
-    """``child_rng(master_seed, *key).random()`` for every row of ``keys``.
+def first_draws(master_seed: int, slot: int, stage: int, trials, subs) -> np.ndarray:
+    """``child_rng(master_seed, slot, t, s, stage).random()`` for each pair
+    (t, s) of the equal-length integer arrays ``trials`` and ``subs``.
 
-    ``keys`` is an (n, k) array of non-negative integers below 2**64, with
-    k >= 1 (an empty spawn key would change how SeedSequence pads the seed).
-    As in SeedSequence, an element of 2**32 or more is hashed as two words,
-    low word first; no element is ever truncated to 32 bits.
+    Every key word must lie in [0, 2**32), where it is one spawn-key word.
     """
     if master_seed < 0:
         raise ValueError(f"master seed must be non-negative, got {master_seed}")
-    keys = np.asarray(keys)
-    if keys.ndim != 2 or keys.shape[1] < 1:
-        raise ValueError(f"keys must be an (n, k) array with k >= 1, got shape {keys.shape}")
-    if keys.dtype.kind not in "iu":
-        raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
-    if keys.dtype.kind == "i" and (keys < 0).any():
-        raise ValueError("key elements must be non-negative")
+    trials, subs = np.asarray(trials), np.asarray(subs)
+    if trials.ndim != 1 or trials.shape != subs.shape:
+        raise ValueError("trials and subs must be 1-D arrays of one length")
     pool, const = _seed_pool(operator.index(master_seed))
-    for column in keys.T:
-        if (column == column[:1]).all():
-            column = column[:1]
-        pool, const = _absorb(pool, column.astype(np.uint32), const)
-        wide = column > _M32
-        if wide.any():
-            # The hash constant advances per word, so from here on it is per row.
-            high, high_const = _absorb(pool, (column >> 32).astype(np.uint32), const)
-            pool = np.where(wide, high, pool)
-            const = np.where(wide, high_const, const)
-    # A draw per row, or one for all rows when every column was constant.
-    return np.resize(_first_double(pool), len(keys))
+    for word in (slot, trials, subs, stage):
+        pool, const = _absorb(pool, _key_word(word), const)
+    # A draw per pair, or one for all pairs when every word was constant.
+    return np.resize(_first_double(pool), len(trials))
+
+
+def _key_word(values) -> np.ndarray:
+    """``values`` as uint32 key words, only one when they are all equal."""
+    values = np.atleast_1d(values)
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() > _M32):
+        raise ValueError("key words must be integers in [0, 2**32)")
+    if (values == values[:1]).all():
+        values = values[:1]
+    return values.astype(np.uint32)
 
 
 def _absorb(pool: np.ndarray, word: np.ndarray, const: np.ndarray):
-    """Hash one uint32 word per row from the constants ``const`` and mix it
-    into every lane of ``pool``; also returns the next constants."""
+    """Hash uint32 words (one per stream, or one for all) from the constant
+    ``const`` and mix them into every lane of ``pool``; also returns the
+    next constant."""
     consts = const * _ABSORB
     hashed = (word ^ consts[:4]) * consts[1:]
     hashed ^= hashed >> 16

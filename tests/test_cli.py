@@ -73,6 +73,12 @@ class TestValidation:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["config"]["repeat_rounds"] == 3
 
+    def test_trials_past_two_to_the_32(self, capsys):
+        code = run_command([*BASE, "--strategy", "probe", "--trials", "4294967297"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: trials must be between 1 and 2**32 (got 4294967297)\n"
+
     def test_garbled_marked_list(self, capsys):
         code = run_command(
             ["--db-size", "16", "--subsystems", "4", "--marked", "ten",
@@ -370,8 +376,7 @@ def test_cli_process_starts_openblas_without_workers(tmp_path, preset):
 
 def test_largest_slice_runs_in_bounded_memory():
     # One 2^24-item slice: a float buffer of its masses alone would be 128
-    # MiB (the child peaked at 158 MiB with one). Its segments leave the
-    # child near the import floor, about 30 MiB.
+    # MiB. Its two masses leave the child near the import floor, about 30 MiB.
     code, peak_mib = cli_peak_rss_mib(
         "--db-size", "16777216", "--subsystems", "1", "--marked", "12345",
         "--strategy", "probe", "--trials", "1", "--seed", "1",

@@ -410,6 +410,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="seed"):
             replace(config(), seed=-1)
 
+    def test_trials_bounded_so_a_trial_index_is_one_key_word(self):
+        assert config(trials=2**32).trials == 2**32
+        with pytest.raises(ConfigurationError, match=r"trials must be between 1 and 2\*\*32"):
+            config(trials=2**32 + 1)
+
     def test_oversized_database_rejected(self):
         with pytest.raises(ConfigurationError, match="at most"):
             config(db_size=1 << 26, num_subsystems=4, marked=(0,))

@@ -57,6 +57,7 @@ def test_probability_and_masses_reject_non_integer_solutions():
 def test_search_space_takes_numpy_integers():
     assert outcome_masses(np.int64(16), np.uint8(1)) == outcome_masses(16, 1)
     assert iteration_count(np.int32(1024), True) == 25
+    assert success_probability(256, np.int8(1), np.int64(12)) == success_probability(256, 1, 12)
 
 
 class TestSuccessProbability:
@@ -76,6 +77,11 @@ class TestSuccessProbability:
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError, match="iterations"):
             success_probability(8, 1, -1)
+
+    @pytest.mark.parametrize("iterations", [1.5, "2"])
+    def test_rejects_non_integer_iterations(self, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            success_probability(16, 1, iterations)
 
     def test_rejects_non_power_size(self):
         with pytest.raises(ValueError, match="power of two"):

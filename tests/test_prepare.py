@@ -190,8 +190,7 @@ def test_prepare_peak_memory_does_not_grow_with_leaves_sharing_a_pattern(strateg
     # 8192 marked items 0, 128, 256, ... at N=2^20 (8 Grover iterations) sit
     # in 8192 leaves of numpy's pairwise sum that all share one marked
     # pattern; the exact masses read only their count. The peak is the O(K)
-    # marked set and sampler tables: 1.1 MiB for either strategy, where
-    # replaying the float chain over the leaves peaked at 3.0 and 3.1 MiB.
+    # marked set and sampler tables: 1.1 MiB for either strategy.
     cfg = ExperimentConfig(1 << 20, 1, frozenset(range(0, 1 << 20, 128)), strategy, seed=1)
     tracemalloc.start()
     try:
@@ -222,20 +221,14 @@ def test_draw_memory_does_not_grow_with_repeat_rounds():
 
 
 def test_hash_temporaries_of_one_key_block():
-    # One _BLOCK_KEYS call in _uniforms' key shape: constant slot and stage,
-    # 64 trials x 64 slices. The hash holds its pool as (4, n) uint32 lanes
-    # and the PCG64 step as 64-bit words: about 0.6 MiB, where uint64
-    # arrays per pool word and 32-bit limbs peaked at 1.16 MiB.
-    rows, subs = np.divmod(np.arange(distributed._BLOCK_KEYS), 64)
-    keys = np.empty((len(rows), 4), dtype=np.uint64)
-    keys[:, 0] = 2
-    keys[:, 1] = rows
-    keys[:, 2] = subs
-    keys[:, 3] = 0
-    distributed.first_draws(1, keys)  # warm-up
+    # One _BLOCK_KEYS call as the engine makes it: 64 trials x 64 slices.
+    # The hash holds its pool as (4, n) uint32 lanes and the PCG64 step as
+    # 64-bit words.
+    trials, subs = np.divmod(np.arange(distributed._BLOCK_KEYS), 64)
+    distributed.first_draws(1, 2, 0, trials, subs)  # warm-up
     tracemalloc.start()
     try:
-        distributed.first_draws(1, keys)
+        distributed.first_draws(1, 2, 0, trials, subs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

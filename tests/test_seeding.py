@@ -13,13 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probegrover import SEMICLASSICAL_REPEAT, ExperimentConfig
-from probegrover.distributed import _uniforms
+from probegrover import SEMICLASSICAL_REPEAT, ExperimentConfig, distributed
 from probegrover.seeding import child_rng, first_draws
 
 
-def reference(seed: int, keys) -> list[float]:
-    return [child_rng(seed, *map(int, key)).random() for key in keys]
+def reference(seed: int, slot: int, stage: int, trials, subs) -> list[float]:
+    return [child_rng(seed, slot, int(t), int(s), stage).random() for t, s in zip(trials, subs)]
 
 
 # One seed per run-entropy shape: one word, the largest one-word seed, two
@@ -28,80 +27,84 @@ def reference(seed: int, keys) -> list[float]:
     "seed", [0, 2**32 - 1, 2**32, 2**200 + 17], ids=["0", "2^32-1", "2^32", "2^200+17"]
 )
 def test_first_draws_match_child_rng(seed):
-    keys = np.random.default_rng(seed % 1009).integers(
-        0, 2**32, size=(1 << 15, 4), dtype=np.uint64
-    )
-    assert np.array_equal(first_draws(seed, keys), reference(seed, keys))
+    rng = np.random.default_rng(seed % 1009)
+    trials, subs = rng.integers(0, 2**32, size=(2, 1 << 15), dtype=np.uint64)
+    slot, stage = rng.integers(0, 2**32, size=2).tolist()
+    expected = reference(seed, slot, stage, trials, subs)
+    assert np.array_equal(first_draws(seed, slot, stage, trials, subs), expected)
+
+
+# Every word fits one spawn-key word; the edges are drawn often, so that
+# constant arrays come up too.
+words = st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-# Constant first columns, narrow and wide, before varying ones.
-@example(7, [[3, 0, 1], [3, 1, 2**33], [3, 2, 5]])
-@example(2**32, [[2**40 + 3, 0], [2**40 + 3, 2**32 - 1]])
-# A constant column after a varying one.
-@example(0, [[1, 7, 9], [2, 7, 9], [3, 7, 9]])
-# Columns wide in some rows only, first and later, then a constant column.
-@example(5, [[2**40, 1], [5, 1], [2**64 - 1, 2]])
-@example(2**100 + 1, [[1, 2**32, 3], [1, 7, 3], [2, 2**50, 3]])
-@example(11, [[2**32 + 1, 0, 7]])
-@example(3, np.array([[1, 2**40, 3], [0, 5, 2**62]], dtype=np.int64))
-@example(9, (np.arange(48, dtype=np.uint64).reshape(6, 8) << np.uint64(29))[::2, 1::3])
+# Constant arrays: the trials, the slices, or both.
+@example(7, 3, 0, ([5, 5, 5], [0, 1, 2]))
+@example(0, 1, 2, ([0, 1, 2], [7, 7, 7]))
+@example(2**32, 0, 1, ([4, 4], [9, 9]))
+# The largest word in every position, alone and next to smaller ones.
+@example(2**100 + 1, 2**32 - 1, 2**32 - 1, ([2**32 - 1], [2**32 - 1]))
+@example(11, 2, 0, ([2**32 - 1, 0, 2**32 - 1], [2**32 - 1, 2**32 - 1, 5]))
+@example(3, 0, 0, (np.array([1, 2**31], np.int64), np.array([2**32 - 1, 0], np.uint64)))
 @given(
     st.integers(0, 2**160),
-    st.integers(1, 5).flatmap(
-        lambda k: st.lists(
-            st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k),
-            min_size=1,
-            max_size=8,
-        )
+    words,
+    words,
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(*[st.lists(words, min_size=n, max_size=n)] * 2)
     ),
 )
-def test_first_draws_match_child_rng_on_any_key(seed, keys):
-    array = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.uint64)
-    assert np.array_equal(first_draws(seed, array), reference(seed, keys))
+def test_first_draws_match_child_rng_on_any_key(seed, slot, stage, pairs):
+    trials, subs = pairs
+    expected = reference(seed, slot, stage, trials, subs)
+    assert np.array_equal(first_draws(seed, slot, stage, trials, subs), expected)
 
 
-def test_wide_trial_index_is_two_spawn_words():
-    keys = [[1, 2**32, 7, 0], [1, 2**40, 7, 2], [1, 2**32 - 1, 7, 0], [2**33, 5, 2**35 + 1, 0]]
-    assert np.array_equal(first_draws(9, keys), reference(9, keys))
-    # Truncated to 32 bits, trial 2**32 would read as trial 0.
-    assert first_draws(9, keys[:1])[0] != child_rng(9, 1, 0, 7, 0).random()
-
-
-@pytest.mark.parametrize("first_trial", [2**32 - 1, 2**40])
-def test_trial_engine_keys_past_32_bits(first_trial):
-    # Two stages of two trials of 3 slices from first_trial, drawn only at
-    # the live pairs of a ragged mask, as iter_trials would draw them at that
-    # trial index.
-    cfg = ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_REPEAT, seed=5)
-    live = np.array([[True, False, True], [False, True, True]])
-    rows, subs = np.nonzero(live)
-    for stage in (0, 1):
-        uniforms = _uniforms(cfg, stage, first_trial, rows, subs)
-        keys = [(2, first_trial + t, sub, stage) for t, sub in zip(rows.tolist(), subs.tolist())]
-        assert np.array_equal(uniforms, reference(5, keys))
+def test_trial_engine_draws_at_the_last_trial_index():
+    # The last trial of the largest run a config admits: 3 repeat rounds,
+    # round r drawn only at the slices whose rounds 0..r-1 agreed.
+    last = 2**32 - 1
+    cfg = ExperimentConfig(64, 4, frozenset({5, 37}), SEMICLASSICAL_REPEAT, seed=5, trials=2**32)
+    prepared, which = distributed.prepare(cfg)
+    order = np.argsort(which, kind="stable")
+    columns = distributed._merge(cfg, prepared, which, order, range(last, last + 1))
+    expected = []
+    for sub in range(4):
+        cdf = prepared[which[sub]].cdf
+        results = {cdf.sample(child_rng(5, 2, last, sub, r).random()) for r in range(3)}
+        expected.append(results.pop() if len(results) == 1 else -1)
+    assert columns.readouts.tolist() == [expected]
+    assert -1 in expected and len(set(expected)) > 1
 
 
 @pytest.mark.parametrize(
     "seed, keys",
     [
-        (-1, [[0]]),
-        (0, [[-1, 2]]),
-        (0, [[2**64, 0]]),
-        (0, [[0.5]]),
-        (0, [[]]),
-        (0, [1, 2]),
+        (-1, (0, 0, [0], [0])),
+        (0, (0, 0, [-1], [2])),
+        (0, (0, 0, [2**32], [0])),
+        (0, (0, 0, [0.5], [0])),
+        (0, (0, 0, [1, 2], [0])),
+        (0, (0, 0, [[1]], [[1]])),
+        (0, (-1, 0, [0], [0])),
+        (0, (0, 2**32, [0], [0])),
+        (0, (0, -1, [0], [0])),
+        (0, (0, 0, [0], np.array([-1], np.int64))),
+        (0, (0, 0, [0], np.array([2**64 - 1], np.uint64))),
+        (0, (2**64, 0, [0], [0])),
     ],
 )
 def test_first_draws_rejects_unusable_input(seed, keys):
     with pytest.raises(ValueError):
-        first_draws(seed, keys)
+        first_draws(seed, *keys)
 
 
 def test_first_draws_takes_the_seeds_child_rng_takes():
-    keys = [[1, 2], [3, 2**40]]
-    assert np.array_equal(first_draws(np.uint64(2**63), keys), reference(2**63, keys))
+    keys = 1, 0, [2, 3], [2**32 - 1, 0]
+    assert np.array_equal(first_draws(np.uint64(2**63), *keys), reference(2**63, *keys))
     with pytest.raises(TypeError):
         child_rng(1.5, 0)
     with pytest.raises(TypeError):
-        first_draws(1.5, keys)
+        first_draws(1.5, *keys)

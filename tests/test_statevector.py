@@ -272,6 +272,26 @@ class TestDenseReference:
             dense_reference_step(2, {9})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_grover(3, {1.5}),
+        lambda: apply_phase_oracle(new_uniform(2), ["3"]),
+        lambda: dense_reference_step(2, [2.7]),
+    ],
+    ids=["run_grover", "apply_phase_oracle", "dense_reference_step"],
+)
+def test_dense_layer_rejects_non_integer_marked_indices(call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_dense_layer_takes_numpy_integers_and_bools():
+    typed = apply_phase_oracle(new_uniform(2), [np.int64(3), np.uint8(2), True])
+    plain = apply_phase_oracle(new_uniform(2), {1, 2, 3})
+    assert typed.amplitudes.tolist() == plain.amplitudes.tolist()
+
+
 class TestNormPreservation:
     def test_every_operation_preserves_norm(self):
         rng = np.random.default_rng(21)
