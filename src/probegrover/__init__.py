@@ -35,7 +35,7 @@ _EXPORTS = {
     "child_rng": "seeding",
     **dict.fromkeys(
         [
-            "ComposedState", "MeasurementRecord", "ProbeOutcome", "StateVector",
+            "MeasurementRecord", "ProbeOutcome", "StateVector",
             "apply_boolean_oracle", "apply_diffusion", "apply_phase_oracle",
             "compose_with_probe", "dense_reference_step", "measure_probe",
             "measure_register", "new_uniform", "state_from_amplitudes",

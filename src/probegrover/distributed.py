@@ -28,15 +28,15 @@ closed-form cumulative masses of those two values (``TwoValuedCdf``), so
 a distinct slice of N items with K marked costs O(K) memory. Trials are
 then drawn a chunk at a time and one stage at a time, each stage only
 where the merge reads it: every draw is the first value of its own
-seed-tree stream, computed in blocks by ``first_draws`` at the live
-(trial, slice) pairs only, and each distinct distribution is sampled at
-its live pairs of the chunk at once. The merge works on the chunk's
-(trials, slices) outcomes as a whole, giving one column per quantity (winners, recovered indices,
-correctness, merge cost); ``summarize_trials`` folds those columns into
-integer totals, and ``iter_trials`` builds per-trial reports from the
-same columns. Only the draws differ between trials: the pre-measurement
-state is fixed by the closed form, and so is every cost the merge does
-not read off a draw.
+seed-tree stream, computed by ``first_draws`` at the live (trial, slice)
+pairs only, ``_BLOCK_KEYS`` pairs per call, and within each such block
+every run of pairs that share one preparation is sampled at once. The
+merge works on the chunk's (trials, slices) outcomes as a whole, giving
+one column per quantity (winners, recovered indices, correctness, merge
+cost); ``summarize_trials`` folds those columns into integer totals,
+and ``iter_trials`` builds per-trial reports from the same columns. Only
+the draws differ between trials: the pre-measurement state is fixed by
+the closed form, and so is every cost the merge does not read off a draw.
 """
 
 from __future__ import annotations

@@ -36,9 +36,15 @@ class GroverRunStats:
     final_success_probability: float = 0.0
 
 
-def _check_num_qubits(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be between 1 and {MAX_QUBITS}, got {num_qubits}")
+def _check_num_qubits(num_qubits: int) -> int:
+    """``num_qubits`` as an int, if it is an integer in [1, MAX_QUBITS]."""
+    try:
+        k = operator.index(num_qubits)
+    except TypeError:
+        k = 0
+    if not 1 <= k <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be an integer in 1..{MAX_QUBITS}, got {num_qubits!r}")
+    return k
 
 
 def _marked_indices(marked: Iterable[int], num_qubits: int) -> np.ndarray:
@@ -147,7 +153,7 @@ def run_grover(
     """
     from .statevector import StateVector
 
-    _check_num_qubits(num_qubits)
+    num_qubits = _check_num_qubits(num_qubits)
     indices = _marked_indices(marked, num_qubits)
     dim = 1 << num_qubits
     rounds = iteration_count(dim, len(indices))

@@ -1,10 +1,11 @@
 """Dense state-vector primitives for small quantum registers.
 
 A register of k qubits is a flat array of 2**k complex amplitudes indexed
-by computational basis label. A register composed with a single probe
-(ancilla) qubit stores the probe as the least significant bit of the joint
-index, so the two conditional halves of the joint state are the even and
-odd stride-2 slices of one array.
+by computational basis label. A k-qubit register composed with a single
+probe (ancilla) qubit is a ``StateVector`` of k + 1 qubits whose lowest
+qubit is the probe: joint index = (register_index << 1) | probe_bit, so
+the two conditional halves of the joint state are the even and odd
+stride-2 slices of one array.
 
 All operations are pure: they return new values and never mutate their
 inputs. Every measurement is an inverse-CDF draw over the cumulative
@@ -19,6 +20,7 @@ outcome either way.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,14 +42,19 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        try:
+            num_qubits = operator.index(self.num_qubits)
+        except TypeError:
+            num_qubits = 0
+        if num_qubits < 1:
+            raise ValueError(f"num_qubits must be an integer >= 1, got {self.num_qubits!r}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.num_qubits,):
+        if amps.shape != (1 << num_qubits,):
             raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got shape {amps.shape}"
+                f"expected {1 << num_qubits} amplitudes for "
+                f"{num_qubits} qubits, got shape {amps.shape}"
             )
+        object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "amplitudes", amps)
 
     def __eq__(self, other: object) -> bool:
@@ -60,38 +67,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedState:
-    """A k-qubit register joined with one probe qubit.
-
-    The joint state has 2**(k+1) amplitudes with the probe as the lowest
-    bit: joint index = (register_index << 1) | probe_bit.
-    """
-
-    num_register_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.num_register_qubits < 1:
-            raise ValueError(
-                f"num_register_qubits must be >= 1, got {self.num_register_qubits}"
-            )
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << (self.num_register_qubits + 1),):
-            raise ValueError(
-                f"expected {1 << (self.num_register_qubits + 1)} joint amplitudes, "
-                f"got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ComposedState)
-            and self.num_register_qubits == other.num_register_qubits
-            and np.array_equal(self.amplitudes, other.amplitudes)
-        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +91,7 @@ class ProbeOutcome:
 
 def new_uniform(num_qubits: int) -> StateVector:
     """Uniform superposition over all 2**num_qubits basis states."""
-    _check_num_qubits(num_qubits)
+    num_qubits = _check_num_qubits(num_qubits)
     dim = 1 << num_qubits
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(num_qubits, amps)
@@ -130,7 +105,7 @@ def state_from_amplitudes(amplitudes: Iterable[complex]) -> StateVector:
     if dim < 2 or dim != 1 << num_qubits:
         raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > 1e-9:
+    if not abs(norm_sq - 1.0) <= 1e-9:
         raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq!r}")
     return StateVector(num_qubits, amps)
 
@@ -157,31 +132,36 @@ def apply_diffusion(state: StateVector) -> StateVector:
     return StateVector(state.num_qubits, 2.0 * amps.mean() - amps)
 
 
-def compose_with_probe(state: StateVector) -> ComposedState:
+def compose_with_probe(state: StateVector) -> StateVector:
     """Attach a probe qubit prepared in |0> to the register.
 
-    Every joint amplitude with probe bit 1 is exactly zero after
-    composition; the probe occupies the lowest bit of the joint index.
+    Returns the joint state, one qubit larger, with the probe as its lowest
+    qubit; every joint amplitude with probe bit 1 is exactly zero.
     """
     joint = np.zeros(2 * state.dim, dtype=np.complex128)
     joint[0::2] = state.amplitudes
-    return ComposedState(state.num_qubits, joint)
+    return StateVector(state.num_qubits + 1, joint)
 
 
-def apply_boolean_oracle(
-    composed: ComposedState, marked: Iterable[int]
-) -> ComposedState:
+def _register_qubits(composed: StateVector) -> int:
+    """Register size of a probe-composed state: all but its lowest qubit."""
+    if composed.num_qubits < 2:
+        raise ValueError(f"a composed state needs at least 2 qubits, got {composed.num_qubits}")
+    return composed.num_qubits - 1
+
+
+def apply_boolean_oracle(composed: StateVector, marked: Iterable[int]) -> StateVector:
     """XOR the oracle predicate into the probe: |i, q> -> |i, f(i) XOR q>.
 
     For each marked register index the two probe branches swap; unmarked
     indices are untouched, so register amplitude magnitudes never change.
     """
-    indices = _marked_indices(marked, composed.num_register_qubits)
+    indices = _marked_indices(marked, _register_qubits(composed))
     joint = composed.amplitudes.copy()
     even = 2 * indices
     odd = even + 1
     joint[even], joint[odd] = joint[odd].copy(), joint[even].copy()
-    return ComposedState(composed.num_register_qubits, joint)
+    return StateVector(composed.num_qubits, joint)
 
 
 def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarray:
@@ -195,14 +175,15 @@ def sample_cdf(cdf: np.ndarray, uniforms: float | np.ndarray) -> int | np.ndarra
     and an index array of the same shape for an array.
     """
     total = cdf[-1]
-    if total <= 0.0:
-        raise InvariantError("outcome distribution has zero total mass")
+    if not 0.0 < total < math.inf:
+        raise InvariantError(f"outcome distribution has total mass {total!r}")
     index = np.minimum(np.searchsorted(cdf, uniforms * total, side="right"), len(cdf) - 1)
     return index if np.ndim(index) else int(index)
 
 
-def probe_branch_masses(composed: ComposedState) -> np.ndarray:
+def probe_branch_masses(composed: StateVector) -> np.ndarray:
     """Born masses of the probe reading 0 and reading 1."""
+    _register_qubits(composed)
     joint = composed.amplitudes
     return np.array(
         [
@@ -212,17 +193,15 @@ def probe_branch_masses(composed: ComposedState) -> np.ndarray:
     )
 
 
-def collapse_probe(
-    composed: ComposedState, bit: int, probability: float
-) -> StateVector:
+def collapse_probe(composed: StateVector, bit: int, probability: float) -> StateVector:
     """Register state conditioned on the probe reading ``bit``, whose branch
     mass is ``probability``."""
     register = composed.amplitudes[bit::2] / math.sqrt(probability)
-    return StateVector(composed.num_register_qubits, register)
+    return StateVector(_register_qubits(composed), register)
 
 
 def measure_probe(
-    composed: ComposedState, rng: np.random.Generator
+    composed: StateVector, rng: np.random.Generator
 ) -> tuple[ProbeOutcome, StateVector]:
     """Measure only the probe qubit and collapse the register conditionally.
 
@@ -256,7 +235,8 @@ def dense_reference_step(num_qubits: int, marked: Iterable[int]) -> np.ndarray:
     Brute-force reference for equivalence testing; capped at
     ``DENSE_REFERENCE_MAX_QUBITS`` qubits to keep the matrix small.
     """
-    if not 1 <= num_qubits <= DENSE_REFERENCE_MAX_QUBITS:
+    num_qubits = _check_num_qubits(num_qubits)
+    if num_qubits > DENSE_REFERENCE_MAX_QUBITS:
         raise ValueError(
             f"dense reference supports 1..{DENSE_REFERENCE_MAX_QUBITS} qubits, "
             f"got {num_qubits}"

@@ -10,7 +10,6 @@ import pytest
 
 from helpers import FixedDraw, norm_sq, random_marked, random_state
 from probegrover import (
-    ComposedState,
     InvariantError,
     StateVector,
     apply_boolean_oracle,
@@ -27,7 +26,7 @@ from probegrover import (
 from probegrover.statevector import sample_cdf
 
 
-def peaked_composed(num_qubits: int, solution: int, solution_mass: float) -> ComposedState:
+def peaked_composed(num_qubits: int, solution: int, solution_mass: float) -> StateVector:
     """Register with amplitude sqrt(solution_mass) on the solution, uniform
     elsewhere, composed with the probe and passed through the oracle."""
     dim = 1 << num_qubits
@@ -49,7 +48,7 @@ class TestNewUniform:
     def test_k3_normalized(self):
         assert abs(norm_sq(new_uniform(3).amplitudes) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("bad", [0, -1, 25])
+    @pytest.mark.parametrize("bad", [0, -1, 25, 2.0, 2.5, "3"])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
             new_uniform(bad)
@@ -67,6 +66,10 @@ class TestStateConstruction:
     def test_state_vector_shape_check(self):
         with pytest.raises(ValueError):
             StateVector(2, np.zeros(3, dtype=complex))
+
+    def test_state_vector_stores_an_int_qubit_count(self):
+        state = StateVector(True, [1.0, 0.0])
+        assert type(state.num_qubits) is int and state.num_qubits == 1
 
 
 class TestPhaseOracle:
@@ -137,6 +140,12 @@ class TestComposeWithProbe:
         np.testing.assert_array_equal(joint.amplitudes[0::2], [0.5] * 4)
         assert np.all(joint.amplitudes[1::2] == 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_joint_state_is_one_qubit_larger(self, k):
+        joint = compose_with_probe(new_uniform(k))
+        assert isinstance(joint, StateVector)
+        assert joint.num_qubits == k + 1 and joint.dim == 2 * new_uniform(k).dim
+
 
 class TestBooleanOracle:
     def test_moves_solution_mass_onto_probe(self):
@@ -194,7 +203,7 @@ class TestMeasureProbe:
         assert abs(hits / 10_000 - 0.96) < 0.02
 
     def test_zero_state_raises_invariant_error(self):
-        dead = ComposedState(2, np.zeros(8, dtype=complex))
+        dead = StateVector(3, np.zeros(8, dtype=complex))
         with pytest.raises(InvariantError):
             measure_probe(dead, np.random.default_rng(0))
 
@@ -214,6 +223,19 @@ class TestMeasureProbe:
         expected = np.full(dim, 1.0 / math.sqrt(dim - 1))
         expected[solution] = 0.0
         np.testing.assert_allclose(post.amplitudes, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_boolean_oracle(StateVector(1, [1.0, 0.0]), set()),
+        lambda: measure_probe(StateVector(1, [1.0, 0.0]), np.random.default_rng(0)),
+    ],
+    ids=["apply_boolean_oracle", "measure_probe"],
+)
+def test_probe_primitives_reject_a_one_qubit_joint_state(call):
+    with pytest.raises(ValueError, match="at least 2 qubits"):
+        call()
 
 
 class TestMeasureRegister:
@@ -283,6 +305,50 @@ class TestDenseReference:
 )
 def test_dense_layer_rejects_non_integer_marked_indices(call):
     with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: run_grover(k, {1}),
+        lambda k: dense_reference_step(k, [1]),
+        lambda k: StateVector(k, np.zeros(4, dtype=complex)),
+    ],
+    ids=["run_grover", "dense_reference_step", "StateVector"],
+)
+def test_dense_layer_rejects_non_integer_qubit_counts(call, bad):
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        call(bad)
+
+
+def test_run_grover_stores_an_int_qubit_count():
+    state, _ = run_grover(True, {1})
+    assert type(state.num_qubits) is int and state.num_qubits == 1
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: sample_cdf(np.array([math.nan, math.nan]), 0.5), InvariantError),
+        (
+            lambda: measure_register(StateVector(1, [math.nan, math.nan]), FixedDraw(0.5)),
+            InvariantError,
+        ),
+        (lambda: measure_register(StateVector(1, [math.inf, 0]), FixedDraw(0.5)), InvariantError),
+        (
+            lambda: measure_probe(
+                compose_with_probe(StateVector(1, [math.nan, math.nan])), FixedDraw(0.5)
+            ),
+            InvariantError,
+        ),
+        (lambda: state_from_amplitudes([math.nan, 0]), ValueError),
+    ],
+    ids=["sample_cdf", "measure_register-nan", "measure_register-inf", "measure_probe", "norm"],
+)
+def test_dense_measurements_reject_nan_and_infinite_masses(call, error):
+    with pytest.raises(error):
         call()
 
 
