@@ -17,7 +17,6 @@ memory, while running or summarizing), 4 output I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -142,6 +141,8 @@ def emit_report(
         # ``default=sorted`` renders the frozenset ``TrialSummary.marked``.
         rendered = json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n"
     else:
+        import csv  # only a CSV report needs it; a JSON run never loads it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(f.name for f in dataclasses.fields(StrategyRow))

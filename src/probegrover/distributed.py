@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, astuple, dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,14 +204,14 @@ def _check_partition(db_size: int, num_subsystems: int, global_marked: Iterable[
             )
 
 
-def _buckets(size: int, global_marked: Collection[int]) -> tuple[np.ndarray, list]:
+def _buckets(size: int, global_marked: Iterable[int]) -> tuple[list[int], list[frozenset[int]]]:
     """The ascending ids of the ``size``-item slices that hold a marked
     index, and each one's marked indices in local coordinates."""
-    marked = np.sort(np.fromiter(global_marked, np.int64, len(global_marked)))
-    ids, starts = np.unique(marked // size, return_index=True)
-    # np.split of no items gives one piece.
-    local = [frozenset(s.tolist()) for s in np.split(marked % size, starts[1:])][: len(ids)]
-    return ids, local
+    slices: dict[int, list[int]] = {}
+    for index in global_marked:
+        slices.setdefault(index // size, []).append(index % size)
+    ids = sorted(slices)
+    return ids, [frozenset(slices[i]) for i in ids]
 
 
 def partition(
@@ -225,7 +225,7 @@ def partition(
     global_marked = _marked_set(global_marked)
     _check_partition(db_size, num_subsystems, global_marked)
     ids, local = _buckets(db_size // num_subsystems, global_marked)
-    return dict(zip(ids.tolist(), local))
+    return dict(zip(ids, local))
 
 
 class TwoValuedCdf:
@@ -264,8 +264,7 @@ class TwoValuedCdf:
         return index if np.ndim(index) else int(index)
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedSlice:
+class PreparedSlice(NamedTuple):
     """What one distinct slice's trials draw from, built once per configuration.
 
     ``cdf`` holds the masses the operate stage samples: the probe's two
@@ -420,8 +419,7 @@ def recover_global(
     return sub_id * size + prepared.fired_cdf.sample(uniform)
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
+class _Columns(NamedTuple):
     """One chunk of trials after the merge, one row per trial.
 
     ``readouts`` is what each slice reported: its probe bit, its measured

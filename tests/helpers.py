@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,6 +17,19 @@ from probegrover import StateVector
 # The directory this package was imported from, so a child interpreter runs
 # the same code whether or not PYTHONPATH names it.
 _PACKAGE_ROOT = str(Path(probegrover.__file__).resolve().parents[1])
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(stem: str):
+    """``perfbench/<stem>.py``, loaded by path; that directory is no package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their module through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _child_env() -> dict[str, str]:

@@ -108,6 +108,25 @@ class TestValidation:
 
 
 class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "text, marked", [("3, 7", "3,7"), ("1_0", "10"), ("7,7", "7")]
+    )
+    def test_marked_follows_python_int_syntax_and_collapses_duplicates(
+        self, capsys, text, marked
+    ):
+        # Each index is read with int(), as argparse reads every other integer
+        # flag: spaces around it and underscores between digits are accepted,
+        # and a repeated index counts once.
+        def run(marked_text: str) -> str:
+            argv = ["--db-size", "16", "--subsystems", "4", "--marked", marked_text,
+                    "--strategy", "all", "--trials", "5", "--seed", "7"]
+            assert run_command(argv) == 0
+            return capsys.readouterr().out
+
+        report = run(text)
+        assert report == run(marked)
+        assert json.loads(report)["config"]["marked"] == [int(i) for i in marked.split(",")]
+
     def test_envelope_shape_and_certain_success(self, capsys):
         code = run_command([*BASE, "--strategy", "probe", "--trials", "100", "--format", "json"])
         assert code == 0
@@ -312,20 +331,22 @@ def test_fuzzed_argv_meets_the_failure_contract(argv):
 def test_cli_run_never_imports_numpy_random(tmp_path):
     # Every draw comes from seeding.first_draws, so a CLI run needs no numpy
     # Generator; importing numpy.random alone adds several MiB of peak RSS.
-    # Nor does it need numpy.ma, which np.unique without index outputs
-    # imports (about 12 ms and 0.6 MiB). Nor fractions (about 0.45 MiB):
-    # the exact masses are integer arithmetic and one int / int division.
-    # Nor the dense layer (statevector): the engine samples two masses.
+    # Nor numpy.ma (about 12 ms and 0.6 MiB): the marked indices are bucketed
+    # in plain Python. Nor fractions (about 0.45 MiB): the exact masses are
+    # integer arithmetic and one int / int division. Nor csv, which only a
+    # CSV report imports. Nor the dense layer (statevector): the engine
+    # samples two masses.
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
     result = run_python(
         "import sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
-        "print(code, *(m in sys.modules for m in ('numpy.random', 'numpy.ma', 'fractions')))\n"
+        "unused = ('numpy.random', 'numpy.ma', 'fractions', 'csv')\n"
+        "print(code, *(m in sys.modules for m in unused))\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'probegrover'))\n"
     )
     assert result.stdout.splitlines() == [
-        "0 False False False",
+        "0 False False False False",
         "probegrover probegrover.cli probegrover.distributed probegrover.errors "
         "probegrover.grover probegrover.ledger probegrover.seeding",
     ], result.stderr

@@ -8,26 +8,12 @@ silently leave that target's per-layer metrics at zero. Here it fails.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+from helpers import load_perfbench
 
-
-def _tracer():
-    """``perfbench/tracer.py``, loaded by path; that directory is no package."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses resolve their module through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _tracer()
+tracer = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize("label", sorted(tracer.TARGETS))
