@@ -11,9 +11,9 @@ __version__ = "0.2.0"
 _EXPORTS = {
     **dict.fromkeys(
         [
-            "ALL_STRATEGIES", "ExperimentConfig", "PROBE", "RunReport",
-            "SEMICLASSICAL_REPEAT", "SEMICLASSICAL_VERIFY", "SEQUENTIAL",
-            "find_winner", "iter_trials", "partition", "run_trials", "summarize_trials",
+            "ALL_STRATEGIES", "ExperimentConfig", "PROBE", "SEMICLASSICAL_REPEAT",
+            "SEMICLASSICAL_VERIFY", "SEQUENTIAL", "TrialColumns", "Trials",
+            "find_winner", "partition", "run_trials",
         ],
         "distributed",
     ),

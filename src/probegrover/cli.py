@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigurationError, InvariantError, ProtocolError, UsageError
-from .ledger import StrategyRow, TrialSummary, compare_strategies
+from .ledger import StrategyRow, TrialSummary, compare_strategies, summarize
 
 # The CLI makes no BLAS call, so numpy's OpenBLAS needs no (spinning) worker.
 if "numpy" not in sys.modules:
@@ -40,7 +40,7 @@ from .distributed import (  # noqa: E402
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
-    summarize_trials,
+    run_trials,
 )
 
 _CLI_STRATEGIES = {
@@ -193,7 +193,7 @@ def run_command(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        summaries = [summarize_trials(config) for config in configs]
+        summaries = [summarize(run_trials(config)) for config in configs]
         rows = compare_strategies(summaries)
     except (InvariantError, ProtocolError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -33,23 +33,25 @@ pairs only, ``_BLOCK_KEYS`` pairs per call, and within each such block
 every run of pairs that share one preparation is sampled at once. The
 merge works on the chunk's (trials, slices) outcomes as a whole, giving
 one column per quantity (winners, recovered indices, correctness, merge
-cost); ``summarize_trials`` folds those columns into integer totals,
-and ``iter_trials`` builds per-trial reports from the same columns. Only
-the draws differ between trials: the pre-measurement state is fixed by
-the closed form, and so is every cost the merge does not read off a draw.
+cost). ``run_trials`` returns those ``TrialColumns`` as a lazy stream
+of chunks, next to the cost and depth every trial shares, and
+``ledger.summarize`` folds the stream into integer totals; there is no
+per-trial object. Only the draws differ between trials: the
+pre-measurement state is fixed by the closed form, and so is every cost
+the merge does not read off a draw.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
 from .grover import MAX_QUBITS, is_power_of_two, iteration_count, outcome_masses
-from .ledger import CostLedger, TrialSummary, fold_summary
+from .ledger import CostLedger
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
 from .seeding import child_rng, first_draws  # noqa: F401
@@ -137,35 +139,6 @@ def _marked_set(marked) -> frozenset[int]:
             f"global_marked must be an iterable of integers (got {marked!r})"
         ) from None
     return frozenset(_integer("marked index", i) for i in items)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One complete trial: what each slice reported, the merge decision,
-    recovered indices and cost totals.
-
-    ``readouts`` has one entry per slice: its probe bit (probe), its
-    measured local index (verify), or the local index all its rounds agreed
-    on, None if they did not (repeat, sequential). ``iteration_depth`` is
-    the deepest slice's Grover iterations, the same in every trial; so is
-    each slice's ledger, which ``prepare`` holds. ``correct`` means the
-    trial reported exactly what the marked set demands: at least one index
-    with every reported index a true solution, or nothing at all when no
-    solution exists.
-    """
-
-    config: ExperimentConfig
-    winners: tuple[int, ...]
-    recovered: tuple[int, ...]
-    correct: bool
-    total_ledger: CostLedger
-    readouts: tuple[int | None, ...]
-    iteration_depth: int
-
-    @property
-    def missed(self) -> bool:
-        """A solution exists but no sub-system reported a result."""
-        return bool(self.config.global_marked) and not self.recovered
 
 
 @dataclass(frozen=True)
@@ -419,7 +392,7 @@ def recover_global(
     return sub_id * size + prepared.fired_cdf.sample(uniform)
 
 
-class _Columns(NamedTuple):
+class TrialColumns(NamedTuple):
     """One chunk of trials after the merge, one row per trial.
 
     ``readouts`` is what each slice reported: its probe bit, its measured
@@ -439,7 +412,7 @@ class _Columns(NamedTuple):
 
 def _merge(
     config: ExperimentConfig, prepared: list, which: np.ndarray, order: np.ndarray, trials: range
-) -> _Columns:
+) -> TrialColumns:
     """Draw and merge a chunk of trials by the strategy.
 
     Stages are drawn one at a time, each only where the merge reads it:
@@ -516,7 +489,7 @@ def _merge(
         correct = found & (np.isin(recovered, marked) | ~winners).all(axis=1)
     else:
         correct = ~found
-    return _Columns(readouts, winners, recovered, correct, merge_qubits, steps)
+    return TrialColumns(readouts, winners, recovered, correct, merge_qubits, steps)
 
 
 def _fixed_cost(config: ExperimentConfig, prepared: list, which: np.ndarray) -> CostLedger:
@@ -531,11 +504,26 @@ def _fixed_cost(config: ExperimentConfig, prepared: list, which: np.ndarray) -> 
     return CostLedger(*totals.tolist()) + CostLedger(classical_oracle_calls=classical)
 
 
-def _trials(config: ExperimentConfig) -> tuple[CostLedger, int, Iterator[_Columns]]:
-    """What every trial of ``config`` shares (the cost no draw changes, and
-    the critical-path depth: the deepest slice's Grover iterations), and its
-    trials merged lazily in chunks of about ``_BLOCK_KEYS`` stage-0 draws (at
-    least one trial), so draw memory grows with neither trials nor rounds."""
+class Trials(NamedTuple):
+    """The configured trials of ``config``, read once through ``summarize``.
+
+    ``fixed`` is what every trial costs before the merge reads a draw, and
+    ``depth`` the critical-path depth every trial shares: the deepest
+    slice's Grover iterations. ``chunks`` merges the trials lazily, one
+    ``TrialColumns`` per chunk of about ``_BLOCK_KEYS`` stage-0 draws (at
+    least one trial), so draw memory grows with neither trials nor rounds.
+    Until ``chunks`` is read to the end a ``Trials`` holds its preparations
+    and slice map, and it equals only itself (``chunks`` compares by identity).
+    """
+
+    config: ExperimentConfig
+    fixed: CostLedger
+    depth: int
+    chunks: Iterator[TrialColumns]
+
+
+def run_trials(config: ExperimentConfig) -> Trials:
+    """Prepare the slices of ``config`` and stream its trials' merged columns."""
     prepared, which = prepare(config)
     depth = max(p.ledger.grover_iterations for p in prepared)
     order = np.argsort(which, kind="stable")
@@ -544,61 +532,4 @@ def _trials(config: ExperimentConfig) -> tuple[CostLedger, int, Iterator[_Column
         _merge(config, prepared, which, order, range(first, min(first + chunk, config.trials)))
         for first in range(0, config.trials, chunk)
     )
-    return _fixed_cost(config, prepared, which), depth, chunks
-
-
-def summarize_trials(config: ExperimentConfig) -> TrialSummary:
-    """Run the configured trials and fold them into a summary.
-
-    Equal to ``summarize(iter_trials(config))``, without building a report
-    per trial: the merged columns are summed chunk by chunk into integer
-    totals.
-    """
-    fixed, depth, chunks = _trials(config)
-    successes = misses = qubits = steps = 0
-    for columns in chunks:
-        successes += int(columns.correct.sum())
-        if config.global_marked:
-            misses += int((~columns.winners.any(axis=1)).sum())
-        qubits += int(columns.merge_qubits.sum())
-        steps += int(columns.decision_steps.sum())
-    totals = {name: value * config.trials for name, value in asdict(fixed).items()}
-    totals["qubits_measured"] += qubits
-    totals["decision_steps"] += steps
-    return fold_summary(config, config.trials, successes, misses, totals, depth * config.trials)
-
-
-def iter_trials(config: ExperimentConfig) -> Iterator[RunReport]:
-    """Stream the configured trials of the configured strategy.
-
-    Reports are built from the same merged columns ``summarize_trials``
-    folds, with the fixed cost and depth computed once per configuration;
-    ``readouts`` is the trial's row of the merged readouts. The slices are
-    prepared when the first trial is drawn and released with the iterator,
-    so memory does not grow with the number of trials.
-    """
-    fixed, depth, chunks = _trials(config)
-    for columns in chunks:
-        rows = zip(
-            np.where(columns.readouts < 0, None, columns.readouts).tolist(),
-            columns.winners,
-            columns.recovered,
-            columns.correct.tolist(),
-            columns.merge_qubits.tolist(),
-            columns.decision_steps.tolist(),
-        )
-        for reported, winners, recovered, correct, qubits, steps in rows:
-            yield RunReport(
-                config=config,
-                winners=tuple(np.flatnonzero(winners).tolist()),
-                recovered=tuple(recovered[winners].tolist()),
-                correct=correct,
-                total_ledger=fixed + CostLedger(qubits_measured=qubits, decision_steps=steps),
-                readouts=tuple(reported),
-                iteration_depth=depth,
-            )
-
-
-def run_trials(config: ExperimentConfig) -> list[RunReport]:
-    """Run the configured number of trials of the configured strategy."""
-    return list(iter_trials(config))
+    return Trials(config, _fixed_cost(config, prepared, which), depth, chunks)

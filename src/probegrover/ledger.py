@@ -1,7 +1,8 @@
 """Cost accounting shared by every search strategy.
 
-A CostLedger counts the resources a run consumed; summaries average them
-over Monte-Carlo trials, and the comparison table puts strategies side by
+A CostLedger counts the resources a run consumed; ``summarize`` folds
+the merged columns of ``distributed.run_trials`` into averages over the
+Monte-Carlo trials, and the comparison table puts strategies side by
 side so the measurement reduction and the parallel iteration-depth
 advantage are directly visible. Run-time is reported as critical-path
 Grover iteration depth, not wall-clock: offset arithmetic between global
@@ -11,12 +12,12 @@ and local indices is counted as zero cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import UsageError
 
 if TYPE_CHECKING:
-    from .distributed import ExperimentConfig, RunReport
+    from .distributed import Trials
 
 
 @dataclass(frozen=True)
@@ -78,57 +79,43 @@ class StrategyRow:
     mean_decision_steps: float
 
 
-def summarize(reports: Iterable["RunReport"]) -> TrialSummary:
-    """Aggregate trial reports that share one strategy and configuration.
+def summarize(trials: "Trials") -> TrialSummary:
+    """Fold the merged columns of ``run_trials`` into a summary.
 
-    Folds the reports in a single pass with integer totals, so a stream of
-    reports gives the same summary as a list of them.
+    The chunks are summed in a single pass into integer totals: every
+    trial adds the fixed cost, and its own merge qubits and decision steps.
+    The chunks are a one-shot stream, so a ``Trials`` that does not yield
+    exactly its configured number of trials (one already summarized, say)
+    raises UsageError.
     """
-    first = None
-    n = successes = misses = depth = 0
-    totals = dict.fromkeys(_LEDGER_FIELDS, 0)
-    for report in reports:
-        if first is None:
-            first = report
-        if report.config.strategy != first.config.strategy:
-            raise UsageError(
-                "mixed strategies in summary: "
-                f"{first.config.strategy!r} vs {report.config.strategy!r}"
-            )
-        if report.config != first.config:
-            raise UsageError("mixed configurations in summary")
-        n += 1
-        successes += report.correct
-        misses += report.missed
-        depth += report.iteration_depth
-        for name in _LEDGER_FIELDS:
-            totals[name] += getattr(report.total_ledger, name)
-    if first is None:
-        raise UsageError("cannot summarize an empty report list")
-    return fold_summary(first.config, n, successes, misses, totals, depth)
-
-
-def fold_summary(
-    config: "ExperimentConfig",
-    trials: int,
-    successes: int,
-    misses: int,
-    totals: dict[str, int],
-    depth: int,
-) -> TrialSummary:
-    """The summary of ``trials`` trials of ``config`` from integer totals:
-    per-field ledger sums and the summed critical-path depth."""
+    config = trials.config
+    n = successes = misses = qubits = steps = 0
+    for columns in trials.chunks:
+        n += len(columns.correct)
+        successes += int(columns.correct.sum())
+        if config.global_marked:
+            misses += int((~columns.winners.any(axis=1)).sum())
+        qubits += int(columns.merge_qubits.sum())
+        steps += int(columns.decision_steps.sum())
+    if n != config.trials:
+        raise UsageError(
+            f"summary folded {n} of {config.trials} trials; run_trials streams them once"
+        )
+    totals = {name: getattr(trials.fixed, name) * n for name in _LEDGER_FIELDS}
+    totals["qubits_measured"] += qubits
+    totals["decision_steps"] += steps
     return TrialSummary(
         strategy=config.strategy,
         db_size=config.db_size,
         num_subsystems=config.num_subsystems,
         marked=config.global_marked,
-        trials=trials,
+        trials=n,
         successes=successes,
         misses=misses,
-        empirical_success_rate=successes / trials,
-        mean_ledger={name: total / trials for name, total in totals.items()},
-        mean_iteration_depth=depth / trials,
+        empirical_success_rate=successes / n,
+        mean_ledger={name: total / n for name, total in totals.items()},
+        # Every trial shares the depth, so its mean is the depth itself.
+        mean_iteration_depth=float(trials.depth),
     )
 
 

@@ -6,13 +6,15 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 import probegrover
-from probegrover import StateVector
+from probegrover import CostLedger, ExperimentConfig, StateVector, TrialColumns, Trials, run_trials
 
 # The directory this package was imported from, so a child interpreter runs
 # the same code whether or not PYTHONPATH names it.
@@ -129,6 +131,61 @@ def expand(cdf):
     ranks[cdf.indices] = 1
     ranks = np.cumsum(ranks)
     return (np.arange(1, cdf.size + 1) - ranks) * cdf.unmarked + ranks * cdf.marked
+
+
+def trial_columns(cfg: ExperimentConfig) -> tuple[Trials, TrialColumns]:
+    """``run_trials(cfg)``, its chunks concatenated into one ``TrialColumns``
+    with a row per trial."""
+    trials = run_trials(cfg)
+    return trials, TrialColumns(*map(np.concatenate, zip(*trials.chunks)))
+
+
+def winners(columns: TrialColumns) -> list[tuple[int, ...]]:
+    """Each trial's winning slice ids, ascending."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in columns.winners]
+
+
+def recovered(columns: TrialColumns) -> list[tuple[int, ...]]:
+    """Each trial's recovered global indices, in slice order."""
+    return [tuple(r[w].tolist()) for r, w in zip(columns.recovered, columns.winners)]
+
+
+def ledgers(trials: Trials, columns: TrialColumns) -> list[CostLedger]:
+    """Each trial's total cost: the fixed cost plus its merge qubits and
+    decision steps."""
+    return [
+        trials.fixed + CostLedger(qubits_measured=q, decision_steps=s)
+        for q, s in zip(columns.merge_qubits.tolist(), columns.decision_steps.tolist())
+    ]
+
+
+def assert_columns_equal(columns: TrialColumns, expected: TrialColumns) -> None:
+    """Every merged column equal, value for value."""
+    for column, want in zip(columns, expected, strict=True):
+        np.testing.assert_array_equal(column, want)
+
+
+def binomial_band(n: int, p: float, alpha: Fraction = Fraction(1, 10**6)) -> tuple[int, int]:
+    """The exact two-sided binomial interval at ``alpha``: a correct engine's
+    hit count over ``n`` trials of probability ``p`` falls outside it with
+    probability below ``alpha``, at most alpha / 2 in each tail.
+
+    The tails are exact integer sums over ``p``'s binary fraction a / d,
+    walked down from ``n`` hits: ``high`` is the first count whose upper tail
+    P(X >= k) exceeds alpha / 2 and ``low`` the first whose upper tail
+    exceeds 1 - alpha / 2, the interval ``scipy.stats.binom.interval`` gives.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    whole = d**n  # every tail below is scaled by d ** n
+    half = alpha / 2
+    tail, high = 0, None
+    for k in range(n, -1, -1):
+        tail += comb(n, k) * a**k * (d - a) ** (n - k)
+        if high is None and tail * half.denominator > half.numerator * whole:
+            high = k
+        if tail * half.denominator > (half.denominator - half.numerator) * whole:
+            return k, high
+    raise AssertionError("the tails sum to 1")
 
 
 def norm_sq(amplitudes: np.ndarray) -> float:

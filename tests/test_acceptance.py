@@ -9,7 +9,17 @@ import math
 
 import numpy as np
 
-from helpers import FixedDraw, norm_sq, random_marked, random_state, run_cli
+from helpers import (
+    FixedDraw,
+    binomial_band,
+    ledgers,
+    norm_sq,
+    random_marked,
+    random_state,
+    recovered,
+    run_cli,
+    trial_columns,
+)
 from probegrover import (
     ExperimentConfig,
     PROBE,
@@ -25,7 +35,6 @@ from probegrover import (
     measure_probe,
     new_uniform,
     run_grover,
-    run_trials,
     state_from_amplitudes,
     success_probability,
 )
@@ -70,10 +79,9 @@ def test_certainty_at_four_item_slices():
         seed=2026,
         trials=100,
     )
-    reports = run_trials(cfg)
-    assert len(reports) == 100
-    assert all(r.correct for r in reports)
-    assert all(r.recovered == (10,) for r in reports)
+    _, columns = trial_columns(cfg)
+    assert columns.correct.tolist() == [True] * 100
+    assert recovered(columns) == [(10,)] * 100
 
 
 @criterion(3, "probe fires only inside the solution-holding sub-system")
@@ -86,17 +94,14 @@ def test_probe_locality():
         seed=3,
         trials=10_000,
     )
-    reports = run_trials(cfg)
+    _, columns = trial_columns(cfg)
     solution_sub = 777 // 256
-    hits = 0
-    for report in reports:
-        for sub_id, bit in enumerate(report.readouts):
-            if sub_id == solution_sub:
-                hits += bit
-            else:
-                assert bit == 0
-    expected = success_probability(256, 1, 12)
-    assert abs(hits / len(reports) - expected) < 0.01
+    assert columns.readouts.shape == (10_000, 4)
+    assert not np.delete(columns.readouts, solution_sub, axis=1).any()
+    hits = int(columns.readouts[:, solution_sub].sum())
+    # p = 0.999947: at most 7 misses (alpha 1e-6), where +-0.01 allowed 100.
+    low, high = binomial_band(10_000, success_probability(256, 1, 12))
+    assert low <= hits <= high
 
 
 @criterion(4, "qubit totals: probe M+log2(slice) vs verify M*log2 vs repeat M*rounds*log2")
@@ -104,20 +109,20 @@ def test_measurement_reduction():
     base = dict(
         db_size=1024, num_subsystems=4, global_marked=frozenset({777}), seed=4, trials=25
     )
-    probe_reports = run_trials(ExperimentConfig(strategy=PROBE, **base))
-    for report in probe_reports:
-        expected = 4 + 8 if not report.missed else 4
-        assert report.total_ledger.qubits_measured == expected
-    verify_reports = run_trials(ExperimentConfig(strategy=SEMICLASSICAL_VERIFY, **base))
-    assert all(r.total_ledger.qubits_measured == 4 * 8 for r in verify_reports)
-    repeat_reports = run_trials(
-        ExperimentConfig(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=3, **base)
-    )
-    assert all(r.total_ledger.qubits_measured == 4 * 3 * 8 for r in repeat_reports)
-    assert any(not r.missed for r in probe_reports)
-    assert probe_reports[0].total_ledger.qubits_measured == 12
-    assert verify_reports[0].total_ledger.qubits_measured == 32
-    assert repeat_reports[0].total_ledger.qubits_measured == 96
+    def qubits(strategy, **rounds):
+        """Each trial's measured qubits, and whether it missed."""
+        trials, columns = trial_columns(ExperimentConfig(strategy=strategy, **base, **rounds))
+        missed = (~columns.winners.any(axis=1)).tolist()
+        return [ledger.qubits_measured for ledger in ledgers(trials, columns)], missed
+
+    probe, missed = qubits(PROBE)
+    assert probe == [4 if miss else 4 + 8 for miss in missed]
+    verify, _ = qubits(SEMICLASSICAL_VERIFY)
+    assert verify == [4 * 8] * 25
+    repeat, _ = qubits(SEMICLASSICAL_REPEAT, repeat_rounds=3)
+    assert repeat == [4 * 3 * 8] * 25
+    assert not all(missed)
+    assert (probe[0], verify[0], repeat[0]) == (12, 32, 96)
 
 
 @criterion(5, "probe strategy spends exactly one oracle call beyond the iterations")
@@ -140,8 +145,8 @@ def test_single_extra_oracle_call():
             iterations = iteration_count(slice_size, local)
             assert preparations[n].ledger.quantum_oracle_calls == iterations + 1
             calls += iterations + 1
-        for report in run_trials(cfg):
-            assert report.total_ledger.quantum_oracle_calls == calls
+        totals = ledgers(*trial_columns(cfg))
+        assert [ledger.quantum_oracle_calls for ledger in totals] == [calls] * 5
 
 
 @criterion(6, "winner scan spends exactly ceil(log2 M) decisions for one set bit")

@@ -412,7 +412,7 @@ class TestInternalErrors:
         def fail(config):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "summarize_trials", fail)
+        monkeypatch.setattr(cli, "summarize", fail)
         code = run_command([*BASE, "--strategy", "probe", "--trials", "2"])
         assert code == 3
         captured = capsys.readouterr()

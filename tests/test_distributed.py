@@ -23,17 +23,25 @@ from probegrover import (
     TrialSummary,
     child_rng,
     find_winner,
-    iter_trials,
     iteration_count,
     partition,
     run_trials,
     success_probability,
-    summarize_trials,
+    summarize,
 )
 from probegrover.distributed import ALL_STRATEGIES, prepare, recover_global
 from probegrover.statevector import sample_cdf
 
-from helpers import expand, partitions
+from helpers import (
+    assert_columns_equal,
+    binomial_band,
+    expand,
+    ledgers,
+    partitions,
+    recovered,
+    trial_columns,
+    winners,
+)
 
 
 def config(
@@ -47,10 +55,6 @@ def config(
         seed=seed,
         **kwargs,
     )
-
-
-def first_trial(cfg: ExperimentConfig):
-    return next(iter_trials(cfg))
 
 
 def prepared_slice(cfg: ExperimentConfig, sub_id: int):
@@ -134,8 +138,8 @@ class TestRunSubsystemProbe:
         assert prepared.ledger == CostLedger(
             qubits_measured=1, quantum_oracle_calls=1, grover_iterations=0
         )
-        (report,) = run_trials(config())
-        assert [bit for i, bit in enumerate(report.readouts) if i != 2] == [0, 0, 0]
+        _, columns = trial_columns(config())
+        assert np.delete(columns.readouts[0], 2).tolist() == [0, 0, 0]
 
     def test_certain_detection_at_four_items(self):
         prepared = prepared_slice(config(marked=(11,)), 2)
@@ -149,8 +153,9 @@ class TestRunSubsystemProbe:
         trials = 10_000
         cdf = expand(prepared.cdf)
         hits = sum(sample_cdf(cdf, child_rng(99, t).random()) for t in range(trials))
-        expected = success_probability(256, 1, 12)
-        assert abs(hits / trials - expected) < 0.01
+        # p = 0.999947: at most 7 misses (alpha 1e-6), where +-0.01 allowed 100.
+        low, high = binomial_band(trials, success_probability(256, 1, 12))
+        assert low <= hits <= high
 
     def test_ledger_counts_one_boolean_oracle_on_top_of_iterations(self):
         (prepared,), _ = prepare(config(db_size=256, num_subsystems=1, marked=(17,)))
@@ -235,72 +240,72 @@ class TestRecoverGlobal:
 
 class TestProbeStrategy:
     def test_certain_recovery_at_four_item_slices(self):
-        report = first_trial(config())
-        assert report.winners == (2,)
-        assert report.recovered == (10,)
-        assert report.correct and not report.missed
-        assert report.total_ledger.qubits_measured == 6
-        assert report.total_ledger.decision_steps == 2
-        assert report.readouts == (0, 0, 1, 0)
+        trials, columns = trial_columns(config())
+        assert winners(columns) == [(2,)]
+        assert recovered(columns) == [(10,)]
+        assert columns.correct.tolist() == [True]
+        (ledger,) = ledgers(trials, columns)
+        assert ledger.qubits_measured == 6
+        assert ledger.decision_steps == 2
+        assert columns.readouts.tolist() == [[0, 0, 1, 0]]
 
     def test_no_solution_reports_nothing(self):
-        report = first_trial(config(marked=()))
-        assert report.winners == ()
-        assert report.recovered == ()
-        assert report.correct
-        assert not report.missed
-        assert report.total_ledger.qubits_measured == 4
+        trials, columns = trial_columns(config(marked=()))
+        assert winners(columns) == [()]
+        assert recovered(columns) == [()]
+        assert columns.correct.tolist() == [True]
+        assert ledgers(trials, columns)[0].qubits_measured == 4
 
     def test_high_success_rate_at_large_slices(self):
         cfg = config(db_size=1024, num_subsystems=4, marked=(777,), seed=5, trials=1000)
-        reports = run_trials(cfg)
-        rate = sum(r.correct for r in reports) / len(reports)
-        assert rate >= 0.995
-        assert all(r.recovered == (777,) for r in reports if r.correct)
+        _, columns = trial_columns(cfg)
+        assert columns.correct.mean() >= 0.995
+        correct = columns.correct.tolist()
+        assert all(r == (777,) for r, ok in zip(recovered(columns), correct) if ok)
 
     def test_miss_path_measures_only_probes(self):
         # 8-item slices succeed with probability ~0.945, so misses occur.
         cfg = config(db_size=16, num_subsystems=2, marked=(10,), seed=11, trials=400)
-        reports = run_trials(cfg)
-        misses = [r for r in reports if r.missed]
-        assert misses, "expected at least one miss at this size"
-        for report in misses:
-            assert report.recovered == ()
-            assert not report.correct
-            assert report.total_ledger.qubits_measured == 2
-        for report in reports:
-            if not report.missed:
-                assert report.total_ledger.qubits_measured == 2 + 3
+        trials, columns = trial_columns(cfg)
+        missed = (~columns.winners.any(axis=1)).tolist()
+        assert any(missed), "expected at least one miss at this size"
+        rows = zip(missed, recovered(columns), columns.correct.tolist(), ledgers(trials, columns))
+        for miss, found, correct, ledger in rows:
+            if miss:
+                assert found == ()
+                assert not correct
+                assert ledger.qubits_measured == 2
+            else:
+                assert ledger.qubits_measured == 2 + 3
 
     def test_solutionless_subsystems_never_fire(self):
         cfg = config(db_size=1024, num_subsystems=4, marked=(777,), seed=6, trials=200)
-        for report in run_trials(cfg):
-            assert report.readouts[:3] == (0, 0, 0)
+        _, columns = trial_columns(cfg)
+        assert len(columns.readouts) == 200
+        assert not columns.readouts[:, :3].any()
 
     def test_multiplicity_recovers_every_solution(self):
-        report = first_trial(config(marked=(1, 10)))
-        assert report.winners == (0, 2)
-        assert report.recovered == (1, 10)
-        assert report.correct
-        assert len(report.winners) > 1  # not a unique winner
-        assert report.total_ledger.qubits_measured == 4 + 2 * 2
+        trials, columns = trial_columns(config(marked=(1, 10)))
+        assert winners(columns) == [(0, 2)]  # not a unique winner
+        assert recovered(columns) == [(1, 10)]
+        assert columns.correct.tolist() == [True]
+        assert ledgers(trials, columns)[0].qubits_measured == 4 + 2 * 2
 
 
 class TestVerifyStrategy:
     def test_certain_verification_at_four_item_slices(self):
-        report = first_trial(config(strategy=SEMICLASSICAL_VERIFY))
-        assert report.correct
-        assert report.recovered == (10,)
-        assert report.total_ledger.qubits_measured == 8
-        assert report.total_ledger.classical_oracle_calls == 4
+        trials, columns = trial_columns(config(strategy=SEMICLASSICAL_VERIFY))
+        assert columns.correct.tolist() == [True]
+        assert recovered(columns) == [(10,)]
+        (ledger,) = ledgers(trials, columns)
+        assert ledger.qubits_measured == 8
+        assert ledger.classical_oracle_calls == 4
 
     def test_no_solution_fails_every_candidate(self):
-        report = first_trial(
-            config(marked=(), strategy=SEMICLASSICAL_VERIFY)
-        )
-        assert report.recovered == ()
-        assert report.correct  # truthful empty answer
-        assert report.total_ledger.classical_oracle_calls == 4
+        trials, columns = trial_columns(config(marked=(), strategy=SEMICLASSICAL_VERIFY))
+        assert recovered(columns) == [()]
+        assert columns.correct.tolist() == [True]  # truthful empty answer
+        assert ledgers(trials, columns)[0].classical_oracle_calls == 4
 
     def test_costs_and_rate_at_large_slices(self):
         cfg = config(
@@ -311,20 +316,19 @@ class TestVerifyStrategy:
             seed=8,
             trials=1000,
         )
-        reports = run_trials(cfg)
-        assert all(r.total_ledger.qubits_measured == 32 for r in reports)
-        rate = sum(r.correct for r in reports) / len(reports)
-        assert rate >= 0.995
+        trials, columns = trial_columns(cfg)
+        assert [ledger.qubits_measured for ledger in ledgers(trials, columns)] == [32] * 1000
+        assert columns.correct.mean() >= 0.995
 
 
 class TestRepeatStrategy:
     def test_solution_subsystem_always_agrees_at_four_items(self):
         cfg = config(strategy=SEMICLASSICAL_REPEAT, repeat_rounds=2, trials=50, seed=3)
-        reports = run_trials(cfg)
-        for report in reports:
-            assert 10 in report.recovered
-            assert report.total_ledger.qubits_measured == 4 * 2 * 2
-        assert any(r.recovered == (10,) for r in reports)
+        trials, columns = trial_columns(cfg)
+        found = recovered(columns)
+        assert len(found) == 50 and all(10 in r for r in found)
+        assert [ledger.qubits_measured for ledger in ledgers(trials, columns)] == [4 * 2 * 2] * 50
+        assert (10,) in found
 
     def test_round_bound_is_global_birthday_bound(self):
         with pytest.raises(ConfigurationError, match="sqrt"):
@@ -345,39 +349,45 @@ class TestRepeatStrategy:
             seed=9,
             trials=50,
         )
-        for report in run_trials(cfg):
-            assert report.total_ledger.qubits_measured == 4 * 3 * 8
-            assert report.total_ledger.classical_oracle_calls == 0
+        trials, columns = trial_columns(cfg)
+        assert len(columns.correct) == 50
+        for ledger in ledgers(trials, columns):
+            assert ledger.qubits_measured == 4 * 3 * 8
+            assert ledger.classical_oracle_calls == 0
 
 
 class TestSequentialBaseline:
     def test_single_machine_costs(self):
         cfg = config(db_size=1024, num_subsystems=4, marked=(777,), strategy=SEQUENTIAL)
-        report = first_trial(cfg)
-        assert report.total_ledger.qubits_measured == 10
-        assert report.total_ledger.grover_iterations == 25
-        assert report.iteration_depth == 25
-        assert report.readouts == report.recovered
+        trials, columns = trial_columns(cfg)
+        (ledger,) = ledgers(trials, columns)
+        assert ledger.qubits_measured == 10
+        assert ledger.grover_iterations == 25
+        assert trials.depth == 25
+        assert [tuple(row) for row in columns.readouts.tolist()] == recovered(columns)
 
     def test_correctness_follows_measurement(self):
-        cfg = config(strategy=SEQUENTIAL, seed=12, trials=200)
-        reports = run_trials(cfg)
-        for report in reports:
-            assert report.correct == (report.recovered == (10,))
-        rate = sum(r.correct for r in reports) / len(reports)
-        expected = success_probability(16, 1, 3)
-        assert abs(rate - expected) < 0.06
+        # p = 0.961319. At 200 trials the alpha 1e-6 band (176-200) is wider
+        # than the old +-0.06 (181-200); at 400 it is 363-399, inside it.
+        cfg = config(strategy=SEQUENTIAL, seed=12, trials=400)
+        _, columns = trial_columns(cfg)
+        correct = columns.correct.tolist()
+        assert correct == [r == (10,) for r in recovered(columns)]
+        low, high = binomial_band(400, success_probability(16, 1, 3))
+        assert low <= sum(correct) <= high
 
 
 class TestDeterminism:
     def test_identical_config_reproduces_reports(self):
         cfg = config(db_size=64, num_subsystems=4, marked=(37,), seed=123, trials=20)
-        assert run_trials(cfg) == run_trials(cfg)
+        (first, columns), (second, again) = trial_columns(cfg), trial_columns(cfg)
+        assert (first.fixed, first.depth) == (second.fixed, second.depth)
+        assert_columns_equal(columns, again)
 
     def test_trials_use_independent_streams(self):
         cfg = config(db_size=16, num_subsystems=2, marked=(10,), seed=123, trials=64)
-        reports = run_trials(cfg)
-        bits = {r.readouts for r in reports}
+        _, columns = trial_columns(cfg)
+        bits = {tuple(row) for row in columns.readouts.tolist()}
         assert len(bits) > 1  # at 8-item slices some probes must miss
 
     def test_child_rng_is_stable_and_keyed(self):
@@ -525,7 +535,7 @@ def test_config_builds_and_runs_or_raises_configuration_error(kwargs):
         cfg = ExperimentConfig(**kwargs)
     except ConfigurationError:
         return
-    summary = summarize_trials(cfg)
+    summary = summarize(run_trials(cfg))
     assert type(summary) is TrialSummary and summary.trials == cfg.trials
 
 

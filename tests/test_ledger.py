@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from probegrover import (
@@ -12,15 +14,18 @@ from probegrover import (
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
     ALL_STRATEGIES,
+    TrialColumns,
     UsageError,
     compare_strategies,
-    iter_trials,
     iteration_count,
     run_trials,
     success_probability,
     summarize,
 )
+from probegrover import distributed
 from probegrover.distributed import prepare
+
+from helpers import binomial_band, ledgers, trial_columns, winners
 
 
 def slice_ledgers(cfg):
@@ -79,12 +84,12 @@ class TestLedgerConservation:
             trials=20,
         )
         sub_total = sum(slice_ledgers(cfg), CostLedger())
-        for report in run_trials(cfg):
-            merge = CostLedger(
-                qubits_measured=8 * len(report.winners),
-                decision_steps=report.total_ledger.decision_steps,
-            )
-            assert report.total_ledger == sub_total + merge
+        trials, columns = trial_columns(cfg)
+        totals = ledgers(trials, columns)
+        assert len(totals) == 20
+        for total, won in zip(totals, winners(columns)):
+            merge = CostLedger(qubits_measured=8 * len(won), decision_steps=total.decision_steps)
+            assert total == sub_total + merge
 
     def test_verify_merge_is_classical_calls(self):
         cfg = ExperimentConfig(
@@ -95,11 +100,11 @@ class TestLedgerConservation:
             seed=14,
             trials=20,
         )
-        ledgers = slice_ledgers(cfg)
-        assert all(ledger.classical_oracle_calls == 0 for ledger in ledgers)
-        sub_total = sum(ledgers, CostLedger())
-        for report in run_trials(cfg):
-            assert report.total_ledger == sub_total + CostLedger(classical_oracle_calls=4)
+        parts = slice_ledgers(cfg)
+        assert all(ledger.classical_oracle_calls == 0 for ledger in parts)
+        sub_total = sum(parts, CostLedger())
+        expected = sub_total + CostLedger(classical_oracle_calls=4)
+        assert ledgers(*trial_columns(cfg)) == [expected] * 20
 
     def test_subsystem_iterations_never_exceed_sequential(self):
         cfg = ExperimentConfig(
@@ -112,8 +117,8 @@ class TestLedgerConservation:
         )
         bound = iteration_count(1024, 1)
         assert all(ledger.grover_iterations <= bound for ledger in slice_ledgers(cfg))
-        for report in run_trials(cfg):
-            assert report.iteration_depth == iteration_count(256, 1)
+        # Every trial shares the critical-path depth, the deepest slice's.
+        assert run_trials(cfg).depth == iteration_count(256, 1)
 
 
 class TestSummarize:
@@ -133,35 +138,37 @@ class TestSummarize:
         assert summary.empirical_success_rate == 1.0
         assert summary.mean_ledger["qubits_measured"] == 6.0
 
-    def test_empty_input_rejected(self):
-        for empty in ([], iter(())):
-            with pytest.raises(UsageError, match="empty"):
-                summarize(empty)
+    def test_summarized_trials_rejected(self):
+        # The chunks are a one-shot stream: a second fold finds no trial.
+        trials = run_trials(ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=2, trials=2))
+        summarize(trials)
+        with pytest.raises(UsageError, match="folded 0 of 2 trials"):
+            summarize(trials)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_stream_and_list_give_identical_summaries(self, strategy):
+    def test_summary_does_not_depend_on_chunk_boundaries(self, strategy):
+        # The same trials, one per chunk, fold to the same summary.
         cfg = ExperimentConfig(
             64, 4, frozenset({37, 5}), strategy, seed=3, trials=60, repeat_rounds=3
         )
-        reports = run_trials(cfg)
-        assert summarize(iter(reports)) == summarize(reports)
-        assert summarize(iter_trials(cfg)) == summarize(reports)
+        trials, columns = trial_columns(cfg)
+        rows = (TrialColumns(*(c[t : t + 1] for c in columns)) for t in range(60))
+        assert summarize(trials._replace(chunks=rows)) == summarize(run_trials(cfg))
 
-    def test_mixed_strategies_rejected(self):
-        probe = run_trials(
-            ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=2, trials=2)
-        )
-        verify = run_trials(
-            ExperimentConfig(16, 4, frozenset({10}), SEMICLASSICAL_VERIFY, seed=2, trials=2)
-        )
-        with pytest.raises(UsageError, match="mixed strategies"):
-            summarize(probe + verify)
+    def test_partly_read_trials_rejected(self):
+        # A 4-trial chunk at 1024 slices, so 10 trials make three chunks.
+        cfg = ExperimentConfig(2048, 1024, frozenset({10}), PROBE, seed=2, trials=10)
+        assert distributed._BLOCK_KEYS // 1024 == 4
+        trials = run_trials(cfg)
+        next(trials.chunks)
+        with pytest.raises(UsageError, match="folded 6 of 10 trials"):
+            summarize(trials)
 
-    def test_mixed_configs_rejected(self):
-        a = run_trials(ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=2, trials=2))
-        b = run_trials(ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=3, trials=2))
-        with pytest.raises(UsageError, match="mixed configurations"):
-            summarize(a + b)
+    def test_trials_of_another_configuration_rejected(self):
+        cfg = ExperimentConfig(16, 4, frozenset({10}), PROBE, seed=2, trials=2)
+        trials = run_trials(cfg)._replace(config=replace(cfg, trials=3))
+        with pytest.raises(UsageError, match="folded 2 of 3 trials"):
+            summarize(trials)
 
     def test_monte_carlo_rate_tracks_closed_form(self):
         cfg = ExperimentConfig(
@@ -173,8 +180,10 @@ class TestSummarize:
             trials=1000,
         )
         summary = summarize(run_trials(cfg))
-        expected = success_probability(256, 1, 12)
-        assert abs(summary.empirical_success_rate - expected) < 0.01
+        # p = 0.999947: at most 3 misses (alpha 1e-6), where +-0.01 allowed 10.
+        low, high = binomial_band(1000, success_probability(256, 1, 12))
+        assert low <= summary.successes <= high
+        assert summary.empirical_success_rate == summary.successes / 1000
 
 
 class TestCompareStrategies:

@@ -1,12 +1,12 @@
 """The prepare → sample → merge trial engine against the per-trial dense
-chain it replaces, its ledger identities as closed forms, the columnar
-summary against per-trial reports, and the work it does once per
+chain it replaces, its ledger identities as closed forms, the summary
+against a hand fold of the merged columns, and the work it does once per
 configuration."""
 
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import isqrt
 from unittest import mock
 
@@ -23,11 +23,11 @@ from probegrover import (
     SEMICLASSICAL_REPEAT,
     SEMICLASSICAL_VERIFY,
     SEQUENTIAL,
+    TrialSummary,
     apply_boolean_oracle,
     child_rng,
     compose_with_probe,
     find_winner,
-    iter_trials,
     iteration_count,
     measure_probe,
     measure_register,
@@ -37,8 +37,10 @@ from probegrover import (
     summarize,
 )
 from probegrover import distributed
-from probegrover.distributed import count_decision_steps, summarize_trials
+from probegrover.distributed import count_decision_steps
 from probegrover.grover import outcome_masses
+
+from helpers import assert_columns_equal, ledgers, recovered, trial_columns, winners
 
 
 def dense_trial(cfg: ExperimentConfig, trial: int):
@@ -124,16 +126,16 @@ def configs(draw, max_marked: int = 4) -> ExperimentConfig:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(configs())
 def test_pipeline_matches_dense_chain(cfg):
-    # Each report's readouts are its trial's row of the merged columns, -1
-    # (repeat rounds that disagreed) read as None.
-    _, _, chunks = distributed._trials(cfg)
-    rows = np.concatenate([columns.readouts for columns in chunks]).tolist()
-    for trial, report in enumerate(run_trials(cfg)):
-        readouts, recovered, ledger = dense_trial(cfg, trial)
-        assert report.readouts == tuple(None if r < 0 else r for r in rows[trial])
-        assert list(report.readouts) == readouts
-        assert report.recovered == recovered
-        assert report.total_ledger == ledger
+    # Every draw the merged columns expose, trial by trial: -1 (repeat
+    # rounds that disagreed) reads as the dense chain's None.
+    trials, columns = trial_columns(cfg)
+    assert len(columns.readouts) == cfg.trials
+    rows = zip(columns.readouts.tolist(), recovered(columns), ledgers(trials, columns))
+    for trial, (readouts, found, ledger) in enumerate(rows):
+        expected = dense_trial(cfg, trial)
+        assert [None if r < 0 else r for r in readouts] == expected[0]
+        assert found == expected[1]
+        assert ledger == expected[2]
 
 
 def closed_form_ledger(cfg: ExperimentConfig, winners: int) -> CostLedger:
@@ -177,23 +179,22 @@ def closed_form_ledger(cfg: ExperimentConfig, winners: int) -> CostLedger:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(configs())
 def test_ledger_identities_hold_in_closed_form(cfg):
-    for report in run_trials(cfg):
+    trials, columns = trial_columns(cfg)
+    assert len(columns.winners) == cfg.trials
+    for ledger, won in zip(ledgers(trials, columns), winners(columns)):
         # Decision steps depend on where the winners sit; the formula covers
         # every other field.
-        expected = closed_form_ledger(cfg, len(report.winners))
-        assert replace(report.total_ledger, decision_steps=0) == expected
+        expected = closed_form_ledger(cfg, len(won))
+        assert replace(ledger, decision_steps=0) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(configs(), st.integers(1, 3))
 def test_trials_do_not_depend_on_the_trial_count(cfg, extra):
-    def outcomes(trials):
-        return [
-            (r.winners, r.recovered, r.total_ledger, r.readouts)
-            for r in run_trials(replace(cfg, trials=trials))
-        ]
-
-    assert outcomes(cfg.trials + extra)[: cfg.trials] == outcomes(cfg.trials)
+    trials, columns = trial_columns(cfg)
+    more, longer = trial_columns(replace(cfg, trials=cfg.trials + extra))
+    assert (more.fixed, more.depth) == (trials.fixed, trials.depth)
+    assert_columns_equal([c[: cfg.trials] for c in longer], columns)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +215,7 @@ def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
     for trials in (1, 40):
         calls.clear()
         cfg = ExperimentConfig(64, 4, frozenset({37, 5}), strategy, seed=1, trials=trials)
-        run_trials(cfg)
+        summarize(run_trials(cfg))
         assert len(calls) == len(set(calls)) == distinct
 
 
@@ -229,11 +230,13 @@ def test_chunk_and_block_sizes_never_change_a_trial(monkeypatch, strategy, block
     cfg = ExperimentConfig(
         256, 16, frozenset({3, 40, 41, 200}), strategy, seed=11, trials=7, repeat_rounds=3
     )
-    expected = list(iter_trials(cfg))
+    expected, columns = trial_columns(cfg)
     slices = 1 if strategy == SEQUENTIAL else 16
     for size in (block_keys, chunk_trials * slices):
         monkeypatch.setattr(distributed, "_BLOCK_KEYS", size)
-        assert list(iter_trials(cfg)) == expected
+        trials, chunked = trial_columns(cfg)
+        assert (trials.fixed, trials.depth) == (expected.fixed, expected.depth)
+        assert_columns_equal(chunked, columns)
 
 
 def test_recovery_is_sampled_once_per_preparation_per_chunk(monkeypatch):
@@ -247,8 +250,8 @@ def test_recovery_is_sampled_once_per_preparation_per_chunk(monkeypatch):
         return recover_global(config, prepared, sub_id, probe_bit, uniform)
 
     monkeypatch.setattr(distributed, "recover_global", counting_recover_global)
-    reports = list(iter_trials(cfg))
-    assert all(len(r.winners) == 64 for r in reports)
+    _, columns = trial_columns(cfg)
+    assert columns.winners.sum(axis=1).tolist() == [64] * cfg.trials
     preparations, _ = distributed.prepare(cfg)
     chunks = -(-cfg.trials // max(1, distributed._BLOCK_KEYS // 64))
     assert len(calls) <= len(preparations) * chunks
@@ -265,13 +268,41 @@ def test_recovery_is_sampled_once_per_preparation_per_chunk(monkeypatch):
 )
 @example(ExperimentConfig(64, 4, frozenset(), SEMICLASSICAL_VERIFY, seed=3, trials=4), 3)
 @example(ExperimentConfig(64, 4, frozenset({5, 37}), SEMICLASSICAL_REPEAT, seed=6, trials=25), 40)
-def test_columnar_summary_equals_summarized_reports(cfg, block_keys):
-    # The reports come at the default block size, the summary at the drawn
-    # one, which also sets the chunk length: neither the fold nor the
-    # chunking may change a total.
-    expected = summarize(iter_trials(cfg))
+def test_summary_equals_a_hand_fold_of_the_columns(cfg, block_keys):
+    # The hand fold reads the chunks at the default block size, one trial at
+    # a time; the summary reads them at the drawn size, which also sets the
+    # chunk length: neither the fold nor the chunking may change a total.
+    trials = run_trials(cfg)
+    n = successes = misses = depth = 0
+    total = CostLedger()
+    for columns in trials.chunks:
+        for t in range(len(columns.correct)):
+            n += 1
+            successes += bool(columns.correct[t])
+            misses += bool(cfg.global_marked) and not columns.winners[t].any()
+            depth += trials.depth
+            total += trials.fixed + CostLedger(
+                qubits_measured=int(columns.merge_qubits[t]),
+                decision_steps=int(columns.decision_steps[t]),
+            )
+    expected = TrialSummary(
+        strategy=cfg.strategy,
+        db_size=cfg.db_size,
+        num_subsystems=cfg.num_subsystems,
+        marked=cfg.global_marked,
+        trials=n,
+        successes=successes,
+        misses=misses,
+        empirical_success_rate=successes / n,
+        mean_ledger={name: value / n for name, value in asdict(total).items()},
+        mean_iteration_depth=depth / n,
+    )
     with mock.patch.object(distributed, "_BLOCK_KEYS", block_keys):
-        assert summarize_trials(cfg) == expected
+        summary = summarize(run_trials(cfg))
+    assert summary == expected
+    # Equal is not enough for the report bytes: an int mean renders as 12.
+    means = [summary.empirical_success_rate, summary.mean_iteration_depth]
+    assert all(type(v) is float for v in [*means, *summary.mean_ledger.values()])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -313,18 +344,19 @@ def test_fixed_cost_equals_the_sum_of_slice_ledgers(strategy, db_size, num_subsy
     assert distributed._fixed_cost(cfg, *distributed.prepare(cfg)) == expected
 
 
-def test_reports_keep_one_pointer_per_slice():
-    # A report keeps each slice's readout, a probe bit here, as one pointer
-    # of its readouts tuple (8 B), and nothing per slice besides: the
-    # slices' ledgers stay with the preparations, which the iterator drops.
+def test_exhausted_trials_keep_no_per_slice_state():
+    # A Trials holds the slice map and the preparations of its 2^16 slices
+    # (about 16 B per slice) until its chunks are read. Once summarize has
+    # read them, the Trials and its summary together keep less than a byte
+    # per slice: the generator let go of its per-slice state.
     cfg = ExperimentConfig(1 << 17, 1 << 16, frozenset({5, 70000}), PROBE, seed=1, trials=3)
-    next(iter_trials(cfg))  # one-time allocations of numpy and the package
+    summarize(run_trials(cfg))  # one-time allocations of numpy and the package
     tracemalloc.start()
     try:
-        reports = list(iter_trials(cfg))
+        trials = run_trials(cfg)
+        summary = summarize(trials)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(reports) == 3
-    assert kept < 3 * cfg.num_subsystems * 9
-    assert all(len(r.readouts) == cfg.num_subsystems for r in reports)
+    assert summary.trials == 3
+    assert kept < cfg.num_subsystems

@@ -30,13 +30,14 @@ from probegrover import (
     partition,
     run_grover,
     run_trials,
+    summarize,
 )
 from probegrover import distributed
-from probegrover.distributed import TwoValuedCdf, prepare, summarize_trials
+from probegrover.distributed import TwoValuedCdf, prepare
 from probegrover.grover import outcome_masses
 from probegrover.statevector import collapse_probe, probe_branch_masses
 
-from helpers import expand, partitions
+from helpers import expand, partitions, recovered, trial_columns
 
 
 def exact_masses(size: int, solutions: int) -> tuple[Fraction, Fraction]:
@@ -211,7 +212,7 @@ def test_draw_memory_does_not_grow_with_repeat_rounds():
         )
         tracemalloc.start()
         try:
-            summarize_trials(cfg)
+            summarize(run_trials(cfg))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,9 +321,10 @@ def test_probe_fires_when_every_item_is_marked():
     (prepared,), _ = prepare(cfg)
     assert prepared.ledger.grover_iterations == 0
     assert (prepared.cdf.unmarked, prepared.cdf.marked) == (0.0, 1.0)
-    reports = run_trials(cfg)
-    assert all(r.readouts == (1, 1, 1, 1) and r.correct for r in reports)
-    assert {i for r in reports for i in r.recovered} == set(range(16))
+    _, columns = trial_columns(cfg)
+    assert columns.readouts.tolist() == [[1, 1, 1, 1]] * 50
+    assert columns.correct.tolist() == [True] * 50
+    assert {i for r in recovered(columns) for i in r} == set(range(16))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
