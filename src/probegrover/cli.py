@@ -108,8 +108,6 @@ def _parse_marked(text: str) -> frozenset[int]:
         raise ConfigurationError(
             f"marked must be a comma-separated list of integers (got {text!r})"
         ) from None
-    if not indices:
-        raise ConfigurationError("marked must list at least one index")
     return indices
 
 

@@ -43,14 +43,13 @@ the merge does not read off a draw.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .grover import MAX_QUBITS, is_power_of_two, iteration_count, outcome_masses
+from .grover import MAX_QUBITS, _as_int, is_power_of_two, iteration_count, outcome_masses
 from .ledger import CostLedger
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
@@ -124,10 +123,10 @@ class ExperimentConfig:
 
 def _integer(name: str, value) -> int:
     """``value`` as an int, if it is an integer of any integer type."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer (got {value!r})") from None
+    k = _as_int(value, None)
+    if k is None:
+        raise ConfigurationError(f"{name} must be an integer (got {value!r})")
+    return k
 
 
 def _marked_set(marked) -> frozenset[int]:

@@ -36,12 +36,17 @@ class GroverRunStats:
     final_success_probability: float = 0.0
 
 
+def _as_int(value, fallback):
+    """``value`` as an int if it is an integer of any integer type, else ``fallback``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return fallback
+
+
 def _check_num_qubits(num_qubits: int) -> int:
     """``num_qubits`` as an int, if it is an integer in [1, MAX_QUBITS]."""
-    try:
-        k = operator.index(num_qubits)
-    except TypeError:
-        k = 0
+    k = _as_int(num_qubits, 0)
     if not 1 <= k <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be an integer in 1..{MAX_QUBITS}, got {num_qubits!r}")
     return k
@@ -63,16 +68,10 @@ def is_power_of_two(n: int) -> bool:
 
 def _check_search_space(size: int, solutions: int) -> tuple[int, int]:
     """``size`` and ``solutions`` as ints, if they describe a search space."""
-    try:
-        n = operator.index(size)
-    except TypeError:
-        n = 0
+    n = _as_int(size, 0)
     if n < 2 or not is_power_of_two(n):
         raise ValueError(f"search-space size must be a power of two >= 2, got {size!r}")
-    try:
-        t = operator.index(solutions)
-    except TypeError:
-        t = -1
+    t = _as_int(solutions, -1)
     if not 0 <= t <= n:
         raise ValueError(f"solutions must be an integer in [0, {n}], got {solutions!r}")
     return n, t
@@ -83,10 +82,12 @@ def iteration_count(size: int, solutions: int) -> int:
 
     Zero solutions means there is nothing to amplify, so zero iterations.
     """
-    size, solutions = _check_search_space(size, solutions)
-    if solutions == 0:
-        return 0
-    return math.floor(math.pi / 4.0 * math.sqrt(size / solutions))
+    return _schedule(*_check_search_space(size, solutions))
+
+
+def _schedule(size: int, solutions: int) -> int:
+    """``iteration_count`` of a checked search space."""
+    return math.floor(math.pi / 4.0 * math.sqrt(size / solutions)) if solutions else 0
 
 
 def success_probability(size: int, solutions: int, iterations: int) -> float:
@@ -96,10 +97,7 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     zero when no solution state exists.
     """
     size, solutions = _check_search_space(size, solutions)
-    try:
-        rounds = operator.index(iterations)
-    except TypeError:
-        rounds = -1
+    rounds = _as_int(iterations, -1)
     if rounds < 0:
         raise ValueError(f"iterations must be a non-negative integer, got {iterations!r}")
     if solutions == 0:
@@ -119,7 +117,7 @@ def outcome_masses(size: int, solutions: int) -> tuple[float, float]:
     S itself is exact. Each mass is one correctly rounded ``int / int``.
     """
     size, solutions = _check_search_space(size, solutions)
-    rounds = iteration_count(size, solutions)
+    rounds = _schedule(size, solutions)
     shift = _FIXED_BITS - (size.bit_length() - 1)
     one = 1 << _FIXED_BITS
     diag = (size - 2 * solutions) << shift
@@ -147,20 +145,19 @@ def run_grover(
     """Run the scheduled oracle+diffusion iterations on the uniform state
     and report the final probability mass on the marked states.
 
-    Each iteration is ``apply_phase_oracle`` then ``apply_diffusion``, as
-    the same numpy operations on one array updated in place. The dense
-    layer is imported here, so the trial engine never loads it.
+    The marked set is checked before the register is allocated. Each
+    iteration is ``apply_phase_oracle`` then ``apply_diffusion``, as the
+    same numpy operations on ``new_uniform``'s array updated in place. The
+    dense layer is imported here, so the trial engine never loads it.
     """
-    from .statevector import StateVector
+    from .statevector import new_uniform
 
-    num_qubits = _check_num_qubits(num_qubits)
-    indices = _marked_indices(marked, num_qubits)
-    dim = 1 << num_qubits
-    rounds = iteration_count(dim, len(indices))
-    amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    indices = _marked_indices(marked, _check_num_qubits(num_qubits))
+    state = new_uniform(num_qubits)
+    amps = state.amplitudes
+    rounds = _schedule(state.dim, len(indices))
     for _ in range(rounds):
         amps[indices] *= -1.0
         np.subtract(2.0 * amps.mean(), amps, out=amps)
     mass = float(np.sum(np.abs(amps[indices]) ** 2))
-    stats = GroverRunStats(iterations=rounds, final_success_probability=mass)
-    return StateVector(num_qubits, amps), stats
+    return state, GroverRunStats(iterations=rounds, final_success_probability=mass)

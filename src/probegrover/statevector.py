@@ -20,7 +20,6 @@ outcome either way.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import InvariantError
 # The register checks live with the Grover loop, which the trial engine
 # imports without this module.
-from .grover import _check_num_qubits, _marked_indices
+from .grover import _as_int, _check_num_qubits, _marked_indices
 
 DENSE_REFERENCE_MAX_QUBITS = 6
 
@@ -42,10 +41,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            num_qubits = operator.index(self.num_qubits)
-        except TypeError:
-            num_qubits = 0
+        num_qubits = _as_int(self.num_qubits, 0)
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be an integer >= 1, got {self.num_qubits!r}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)

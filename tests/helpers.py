@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import asin, sin
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,14 @@ def assert_columns_equal(columns: TrialColumns, expected: TrialColumns) -> None:
         np.testing.assert_array_equal(column, want)
 
 
+# Grover's hit probability in closed form, sin^2((2r+1) theta) with
+# sin theta = sqrt(t/n), after the scheduled r = floor(pi/4 * sqrt(n/t))
+# iterations, written out here rather than taken from the package:
+# one solution in 256 items (r = 12) and in 16 items (r = 3).
+HIT_256 = sin(25 * asin(1 / 16)) ** 2  # 0.999947
+HIT_16 = sin(7 * asin(1 / 4)) ** 2  # 0.961319
+
+
 def binomial_band(n: int, p: float, alpha: Fraction = Fraction(1, 10**6)) -> tuple[int, int]:
     """The exact two-sided binomial interval at ``alpha``: a correct engine's
     hit count over ``n`` trials of probability ``p`` falls outside it with
@@ -176,11 +184,17 @@ def binomial_band(n: int, p: float, alpha: Fraction = Fraction(1, 10**6)) -> tup
     exceeds 1 - alpha / 2, the interval ``scipy.stats.binom.interval`` gives.
     """
     a, d = Fraction(p).as_integer_ratio()
+    if a == 0:
+        return 0, 0
     whole = d**n  # every tail below is scaled by d ** n
     half = alpha / 2
-    tail, high = 0, None
+    # The k-hit term comb(n, k) * a**k * (d - a)**(n - k), walked down from
+    # k = n: the step to k - 1 multiplies by k * (d - a) and divides exactly
+    # by (n - k + 1) * a.
+    term, tail, high = a**n, 0, None
     for k in range(n, -1, -1):
-        tail += comb(n, k) * a**k * (d - a) ** (n - k)
+        tail += term
+        term = term * k * (d - a) // ((n - k + 1) * a)
         if high is None and tail * half.denominator > half.numerator * whole:
             high = k
         if tail * half.denominator > (half.denominator - half.numerator) * whole:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from helpers import (
+    HIT_256,
     FixedDraw,
     binomial_band,
     ledgers,
@@ -100,7 +101,7 @@ def test_probe_locality():
     assert not np.delete(columns.readouts, solution_sub, axis=1).any()
     hits = int(columns.readouts[:, solution_sub].sum())
     # p = 0.999947: at most 7 misses (alpha 1e-6), where +-0.01 allowed 100.
-    low, high = binomial_band(10_000, success_probability(256, 1, 12))
+    low, high = binomial_band(10_000, HIT_256)
     assert low <= hits <= high
 
 

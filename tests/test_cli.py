@@ -79,12 +79,17 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err == "error: trials must be between 1 and 2**32 (got 4294967297)\n"
 
-    def test_garbled_marked_list(self, capsys):
+    # An empty part fails int(), so no list parses to the empty set.
+    @pytest.mark.parametrize("text", ["ten", "", ",", "3,"])
+    def test_garbled_marked_list(self, capsys, text):
         code = run_command(
-            ["--db-size", "16", "--subsystems", "4", "--marked", "ten",
+            ["--db-size", "16", "--subsystems", "4", "--marked", text,
              "--strategy", "probe", "--seed", "7"]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: marked must be a comma-separated list of integers (got {text!r})\n"
+        )
 
     def test_negative_seed(self, capsys):
         code = run_command(

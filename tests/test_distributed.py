@@ -26,13 +26,14 @@ from probegrover import (
     iteration_count,
     partition,
     run_trials,
-    success_probability,
     summarize,
 )
 from probegrover.distributed import ALL_STRATEGIES, prepare, recover_global
 from probegrover.statevector import sample_cdf
 
 from helpers import (
+    HIT_16,
+    HIT_256,
     assert_columns_equal,
     binomial_band,
     expand,
@@ -154,7 +155,7 @@ class TestRunSubsystemProbe:
         cdf = expand(prepared.cdf)
         hits = sum(sample_cdf(cdf, child_rng(99, t).random()) for t in range(trials))
         # p = 0.999947: at most 7 misses (alpha 1e-6), where +-0.01 allowed 100.
-        low, high = binomial_band(trials, success_probability(256, 1, 12))
+        low, high = binomial_band(trials, HIT_256)
         assert low <= hits <= high
 
     def test_ledger_counts_one_boolean_oracle_on_top_of_iterations(self):
@@ -373,8 +374,52 @@ class TestSequentialBaseline:
         _, columns = trial_columns(cfg)
         correct = columns.correct.tolist()
         assert correct == [r == (10,) for r in recovered(columns)]
-        low, high = binomial_band(400, success_probability(16, 1, 3))
+        low, high = binomial_band(400, HIT_16)
         assert low <= sum(correct) <= high
+
+
+class TestUncertainOutcomes:
+    """Hit rates where a miss is likely enough that a wrong mass shows.
+
+    Each p is sin^2((2r+1) theta) with s = sin theta = sqrt(t/n), expanded
+    by sin 3 theta = s(3 - 4s^2) and sin 5 theta = s(16s^4 - 20s^2 + 5); each band is
+    the alpha 1e-6 interval at 10,000 trials.
+    """
+
+    TRIALS = 10_000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_probe_hit_rate_at_eight_item_slices(self, seed):
+        # n = 8, t = 1, r = 2: s^2 = 1/8, sin 5 theta = s(1/4 - 5/2 + 5) = 11s/4,
+        # so p = 121/128 (band 9339-9561); only the marked slice can fire.
+        cfg = ExperimentConfig(32, 4, {13}, PROBE, seed=seed, trials=self.TRIALS)
+        _, columns = trial_columns(cfg)
+        low, high = binomial_band(self.TRIALS, 121 / 128)
+        assert low <= int(columns.correct.sum()) <= high
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeat_agreement_goes_as_p_to_the_rounds(self, seed):
+        # Each of 2 rounds hits with p = 121/128 as above, so both agree on
+        # the solution with p = (121/128)^2 (band 8782-9084).
+        cfg = ExperimentConfig(
+            8, 1, {5}, SEMICLASSICAL_REPEAT, seed=seed, trials=self.TRIALS, repeat_rounds=2
+        )
+        _, columns = trial_columns(cfg)
+        low, high = binomial_band(self.TRIALS, (121 / 128) ** 2)
+        assert low <= int(columns.correct.sum()) <= high
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_marked_index_reported_with_its_share(self, seed):
+        # n = 16, t = 3, r = 1: s^2 = 3/16, sin 3 theta = s(3 - 3/4) = 9s/4, so a
+        # solution is measured with p = 243/256, each of the three with
+        # p = 81/256 (band 2938-3393).
+        cfg = ExperimentConfig(
+            16, 1, {1, 6, 11}, SEMICLASSICAL_VERIFY, seed=seed, trials=self.TRIALS
+        )
+        _, columns = trial_columns(cfg)
+        low, high = binomial_band(self.TRIALS, 81 / 256)
+        for index in (1, 6, 11):
+            assert low <= int((columns.readouts[:, 0] == index).sum()) <= high
 
 
 class TestDeterminism:

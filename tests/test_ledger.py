@@ -19,13 +19,12 @@ from probegrover import (
     compare_strategies,
     iteration_count,
     run_trials,
-    success_probability,
     summarize,
 )
 from probegrover import distributed
 from probegrover.distributed import prepare
 
-from helpers import binomial_band, ledgers, trial_columns, winners
+from helpers import HIT_256, binomial_band, ledgers, trial_columns, winners
 
 
 def slice_ledgers(cfg):
@@ -181,7 +180,7 @@ class TestSummarize:
         )
         summary = summarize(run_trials(cfg))
         # p = 0.999947: at most 3 misses (alpha 1e-6), where +-0.01 allowed 10.
-        low, high = binomial_band(1000, success_probability(256, 1, 12))
+        low, high = binomial_band(1000, HIT_256)
         assert low <= summary.successes <= high
         assert summary.empirical_success_rate == summary.successes / 1000
 
