@@ -19,26 +19,26 @@ included for cost comparisons. All randomness descends from the
 configuration seed through a fixed splitting scheme, so reports are
 reproducible and independent of sub-system scheduling.
 
-Every strategy runs as one pipeline. ``prepare`` takes, once per
-distinct local marked set, the two exact outcome masses the Grover search
-leaves on each unmarked and each marked item (``outcome_masses``, in
-integer arithmetic), and maps each slice to its preparation with an index
-array, so no per-slice object is built. A measurement samples the
-closed-form cumulative masses of those two values (``TwoValuedCdf``), so
-a distinct slice of N items with K marked costs O(K) memory. Trials are
-then drawn a chunk at a time and one stage at a time, each stage only
-where the merge reads it: every draw is the first value of its own
-seed-tree stream, computed by ``first_draws`` at the live (trial, slice)
-pairs only, ``_BLOCK_KEYS`` pairs per call, and within each such block
-every run of pairs that share one preparation is sampled at once. The
-merge works on the chunk's (trials, slices) outcomes as a whole, giving
-one column per quantity (winners, recovered indices, correctness, merge
-cost). ``run_trials`` returns those ``TrialColumns`` as a lazy stream
-of chunks, next to the cost and depth every trial shares, and
-``ledger.summarize`` folds the stream into integer totals; there is no
-per-trial object. Only the draws differ between trials: the
-pre-measurement state is fixed by the closed form, and so is every cost
-the merge does not read off a draw.
+Every strategy runs as one pipeline. ``prepare`` takes, from one
+``outcome_masses`` call per distinct local marked set, the scheduled
+iterations and the two exact masses they leave on each unmarked and each
+marked item (in integer arithmetic), and maps each slice to its
+preparation with an index array, so no per-slice object is built. A
+measurement samples the closed-form cumulative masses of those two
+values (``TwoValuedCdf``), so a distinct slice of N items with K marked
+costs O(K) memory. Trials are then drawn a chunk at a time and one stage
+at a time, each stage only where the merge reads it: every draw is the
+first value of its own seed-tree stream, computed by ``first_draws`` at
+the live (trial, slice) pairs only, ``_BLOCK_KEYS`` pairs per call, and
+within each such block every run of pairs that share one preparation is
+sampled at once. The merge works on the chunk's (trials, slices)
+outcomes as a whole, giving one column per quantity (winners, recovered
+indices, correctness, merge cost). ``run_trials`` returns those
+``TrialColumns`` as a lazy stream of chunks, next to the cost and depth
+every trial shares, and ``ledger.summarize`` folds the stream into
+integer totals; there is no per-trial object. Only the draws differ
+between trials: the pre-measurement state is fixed by the closed form,
+and so is every cost the merge does not read off a draw.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .grover import MAX_QUBITS, _as_int, is_power_of_two, iteration_count, outcome_masses
+from .grover import MAX_QUBITS, _as_int, is_power_of_two, outcome_masses
 from .ledger import CostLedger
 # child_rng is the per-stream reference for first_draws; it stays importable
 # here for callers that look the seed tree up through this module.
@@ -257,16 +257,16 @@ def _rounds(config: ExperimentConfig) -> int:
 
 def _distributions(
     strategy: str, num_qubits: int, marked: frozenset[int], rounds: int
-) -> tuple[TwoValuedCdf, TwoValuedCdf | None, CostLedger]:
-    """The masses one slice's trials sample, from its two exact outcome masses.
+) -> PreparedSlice:
+    """One slice's preparation, from one ``outcome_masses`` call: the
+    scheduled iterations its ledger charges and the two masses it samples.
 
     For the probe the boolean oracle moves the marked items' mass onto the
     probe, so its branches are (N - K) * unmarked and K * marked, and the
     register it leaves when it fires is uniform over the K marked items.
     """
     size = 1 << num_qubits
-    iterations = iteration_count(size, len(marked))
-    unmarked, hit = outcome_masses(size, len(marked))
+    iterations, unmarked, hit = outcome_masses(size, len(marked))
     indices = np.array(sorted(marked), dtype=np.intp)
     if strategy != PROBE:
         ledger = CostLedger(
@@ -274,14 +274,14 @@ def _distributions(
             quantum_oracle_calls=rounds * iterations,
             grover_iterations=rounds * iterations,
         )
-        return TwoValuedCdf(size, indices, unmarked, hit), None, ledger
+        return PreparedSlice(TwoValuedCdf(size, indices, unmarked, hit), None, ledger)
     fired_cdf = TwoValuedCdf(size, indices, 0.0, 1.0) if marked else None
     # One extra oracle call: the boolean oracle that writes into the probe.
     ledger = CostLedger(
         qubits_measured=1, quantum_oracle_calls=iterations + 1, grover_iterations=iterations
     )
     branches = (size - len(marked)) * unmarked, len(marked) * hit
-    return TwoValuedCdf(2, np.ones(1, np.intp), *branches), fired_cdf, ledger
+    return PreparedSlice(TwoValuedCdf(2, np.ones(1, np.intp), *branches), fired_cdf, ledger)
 
 
 def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
@@ -304,10 +304,7 @@ def prepare(config: ExperimentConfig) -> tuple[list[PreparedSlice], np.ndarray]:
     if len(ids) < num_slices:
         distinct[frozenset()] = len(distinct)
     qubits = size.bit_length() - 1
-    preparations = [
-        PreparedSlice(*_distributions(config.strategy, qubits, s, _rounds(config)))
-        for s in distinct
-    ]
+    preparations = [_distributions(config.strategy, qubits, s, _rounds(config)) for s in distinct]
     return preparations, which
 
 
@@ -483,11 +480,10 @@ def _merge(
         winners[rows, subs] = True
         readouts = np.where(winners, readouts, -1)
         recovered = offsets + readouts
-    found = winners.any(axis=1)
-    if marked.size:
-        correct = found & (np.isin(recovered, marked) | ~winners).all(axis=1)
-    else:
-        correct = ~found
+    # A trial is correct when no winner reports a non-solution and it has a
+    # winner exactly when the configuration has a solution.
+    wrong = (winners & ~np.isin(recovered, marked)).any(axis=1)
+    correct = ~wrong & (winners.any(axis=1) == bool(marked.size))
     return TrialColumns(readouts, winners, recovered, correct, merge_qubits, steps)
 
 

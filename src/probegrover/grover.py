@@ -5,9 +5,9 @@ After r oracle+diffusion iterations over n items with t solutions, the
 closed form sin^2((2r+1) * asin(sqrt(t/n))) is the probability of
 measuring a solution. From the uniform state every iteration keeps the
 register two-valued, one amplitude on the marked items and one on the
-rest (Boyer, Brassard, Hoyer and Tapp, 1998). The trial engine samples
-the exact masses of that pair (``outcome_masses``). ``run_grover`` is the
-dense reference: it runs the iterations on the full complex register.
+rest (Boyer, Brassard, Hoyer and Tapp, 1998). ``outcome_masses`` gives the
+trial engine the schedule and the exact masses of that pair; ``run_grover``
+is the dense reference, the same schedule run on the full complex register.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def iteration_count(size: int, solutions: int) -> int:
 
 
 def _schedule(size: int, solutions: int) -> int:
-    """``iteration_count`` of a checked search space."""
+    """``iteration_count`` of a checked search space: the one schedule policy."""
     return math.floor(math.pi / 4.0 * math.sqrt(size / solutions)) if solutions else 0
 
 
@@ -106,9 +106,9 @@ def success_probability(size: int, solutions: int, iterations: int) -> float:
     return math.sin((2 * rounds + 1) * theta) ** 2
 
 
-def outcome_masses(size: int, solutions: int) -> tuple[float, float]:
-    """The probability of measuring each unmarked and each marked item after
-    the scheduled iterations, each correctly rounded to a float.
+def outcome_masses(size: int, solutions: int) -> tuple[int, float, float]:
+    """The scheduled iteration count, and the probability of measuring each
+    unmarked and each marked item after it, each correctly rounded to a float.
 
     Scaled by sqrt(n), the amplitude pair starts at (1, 1), and each
     iteration maps it through S = [[n-2t, -2t], [2(n-t), n-2t]] / n for n
@@ -117,7 +117,7 @@ def outcome_masses(size: int, solutions: int) -> tuple[float, float]:
     S itself is exact. Each mass is one correctly rounded ``int / int``.
     """
     size, solutions = _check_search_space(size, solutions)
-    rounds = _schedule(size, solutions)
+    rounds = iterations = _schedule(size, solutions)
     shift = _FIXED_BITS - (size.bit_length() - 1)
     one = 1 << _FIXED_BITS
     diag = (size - 2 * solutions) << shift
@@ -136,7 +136,7 @@ def outcome_masses(size: int, solutions: int) -> tuple[float, float]:
         )
         rounds >>= 1
     scale = size * one * one
-    return unmarked * unmarked / scale, marked * marked / scale
+    return iterations, unmarked * unmarked / scale, marked * marked / scale
 
 
 def run_grover(

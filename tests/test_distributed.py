@@ -421,6 +421,27 @@ class TestUncertainOutcomes:
         for index in (1, 6, 11):
             assert low <= int((columns.readouts[:, 0] == index).sum()) <= high
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_probe_merge_cost_over_two_marked_slices(self, seed):
+        # Of four 8-item slices, 1 and 3 each hold local index 5, so each
+        # fires independently with p = 121/128 as above; 0 and 2 never fire.
+        # The OR tree descends into its left (0-1) and right (2-3) nodes with
+        # p = 121/128 each (band 9339-9561), and into its root unless both
+        # miss, p = 1 - (7/128)^2 = 16335/16384 (band 9940-9993). Each
+        # descent is one decision step; each winner measures log2 8 = 3 qubits.
+        cfg = ExperimentConfig(32, 4, {13, 29}, PROBE, seed=seed, trials=self.TRIALS)
+        _, columns = trial_columns(cfg)
+        fired = columns.winners
+        assert not fired[:, [0, 2]].any()
+        root = int(fired.any(axis=1).sum())
+        left, right = (int(fired[:, half].any(axis=1).sum()) for half in ([0, 1], [2, 3]))
+        low, high = binomial_band(self.TRIALS, 16335 / 16384)
+        assert low <= root <= high
+        low, high = binomial_band(self.TRIALS, 121 / 128)
+        assert low <= left <= high and low <= right <= high
+        assert int(columns.decision_steps.sum()) == root + left + right
+        assert int(columns.merge_qubits.sum()) == 3 * int(fired.sum())
+
 
 class TestDeterminism:
     def test_identical_config_reproduces_reports(self):

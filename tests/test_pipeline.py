@@ -36,7 +36,7 @@ from probegrover import (
     run_trials,
     summarize,
 )
-from probegrover import distributed
+from probegrover import distributed, grover
 from probegrover.distributed import count_decision_steps
 from probegrover.grover import outcome_masses
 
@@ -125,9 +125,15 @@ def configs(draw, max_marked: int = 4) -> ExperimentConfig:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(configs())
+# No solution: the slices' agreed (wrong) indices number 0, 2, 2 and 2.
+@example(
+    ExperimentConfig(16, 4, frozenset(), SEMICLASSICAL_REPEAT, seed=1, trials=4, repeat_rounds=2)
+)
 def test_pipeline_matches_dense_chain(cfg):
     # Every draw the merged columns expose, trial by trial: -1 (repeat
-    # rounds that disagreed) reads as the dense chain's None.
+    # rounds that disagreed) reads as the dense chain's None. A trial is
+    # correct when every index it recovers is a solution and it recovers
+    # one exactly when there is a solution to find.
     trials, columns = trial_columns(cfg)
     assert len(columns.readouts) == cfg.trials
     rows = zip(columns.readouts.tolist(), recovered(columns), ledgers(trials, columns))
@@ -136,6 +142,9 @@ def test_pipeline_matches_dense_chain(cfg):
         assert [None if r < 0 else r for r in readouts] == expected[0]
         assert found == expected[1]
         assert ledger == expected[2]
+        only_solutions = set(expected[1]) <= cfg.global_marked
+        found_iff_any = bool(expected[1]) == bool(cfg.global_marked)
+        assert columns.correct[trial] == (only_solutions and found_iff_any)
 
 
 def closed_form_ledger(cfg: ExperimentConfig, winners: int) -> CostLedger:
@@ -204,19 +213,28 @@ def test_trials_do_not_depend_on_the_trial_count(cfg, extra):
 def test_grover_runs_once_per_distinct_slice(monkeypatch, strategy, distinct):
     # Marked 37 and 5 both sit at local index 5 of their 16-item slices, so
     # the four slices have two distinct (size, local marked) keys, with one
-    # and no solution: one mass computation each.
-    calls = []
+    # and no solution: one mass computation each, which also gives the
+    # slice's schedule, so each search space is checked once.
+    calls, checks = [], []
+    check_search_space = grover._check_search_space
 
     def counting_outcome_masses(size, solutions):
         calls.append((size, solutions))
         return outcome_masses(size, solutions)
 
+    def counting_check_search_space(size, solutions):
+        checks.append((size, solutions))
+        return check_search_space(size, solutions)
+
     monkeypatch.setattr(distributed, "outcome_masses", counting_outcome_masses)
+    monkeypatch.setattr(grover, "_check_search_space", counting_check_search_space)
     for trials in (1, 40):
         calls.clear()
+        checks.clear()
         cfg = ExperimentConfig(64, 4, frozenset({37, 5}), strategy, seed=1, trials=trials)
         summarize(run_trials(cfg))
         assert len(calls) == len(set(calls)) == distinct
+        assert len(checks) == distinct
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
