@@ -11,7 +11,8 @@ arguments always produce byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 internal error (an
 invariant, protocol-order or aggregation failure, or running out of
-memory, while running or summarizing), 4 output I/O error.
+memory, while running or summarizing), 4 output I/O error, 130
+interrupted (SIGINT) while running or summarizing, with no report.
 """
 
 from __future__ import annotations
@@ -200,6 +201,9 @@ def run_command(argv: list[str] | None = None) -> int:
         detail = str(exc) or "allocation failed"
         print(f"internal error: out of memory: {detail}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
     config = {
         "db_size": args.db_size,

@@ -70,13 +70,13 @@ _STAGE_RECOVER = 1
 # Live (trial, slice) pairs are hashed and sampled _BLOCK_KEYS per block, and
 # a chunk of trials holds about _BLOCK_KEYS slices' worth (at least one
 # trial). The size trades speed for transient memory only and cannot change
-# a draw. A 2**12-key block's hash temporaries peak at about 0.6 MiB (0.15
-# MiB at 2**10), and it hashes a key in about 0.15 us against 0.25 us at 2**10.
+# a draw. A 2**12-key block's hash peaks at about 0.25 MiB (0.08 MiB at
+# 2**10), and it hashes a key in about 0.07 us against 0.16 us at 2**10.
 _BLOCK_KEYS = 1 << 12
 
-# Each slice costs about 95 B of peak memory at any repeat rounds, mostly one
+# Each slice costs about 90 B of peak memory at any repeat rounds, mostly one
 # stage's draw arrays: one probe trial at N=2**17 and 2**16 slices peaks at
-# 34.5 MiB (import: 28.4).
+# 34.3 MiB (import: 28.4).
 MAX_SUBSYSTEMS = 1 << 16
 
 
@@ -415,10 +415,10 @@ def _merge(
     stage 0 at every slice, the probe's recovery only at its winners and
     repeat round r only where rounds 0..r-1 agreed. The live (trial, slice)
     pairs are index arrays grouped by preparation (``order`` holds the
-    slice ids sorted by preparation) that shrink from stage to stage. Each
-    stage walks them ``_BLOCK_KEYS`` at a time: one ``first_draws`` call
-    hashes a block's keys, and each run of one preparation in the block is
-    measured at once.
+    slice ids so grouped, ascending within each group) that shrink from
+    stage to stage. Each stage walks them ``_BLOCK_KEYS`` at a time: one
+    ``first_draws`` call hashes a block's keys, and each run of one
+    preparation in the block is measured at once.
 
     - probe: the slices whose probe read 1 win; only their registers are
       measured (log2(slice size) qubits each), after an OR-tree scan of the
@@ -447,8 +447,13 @@ def _merge(
                 drawn[run] = measure(prepared[kind[lo]], run, uniforms[lo:hi])
         return drawn
 
+    def is_marked(indices: np.ndarray) -> np.ndarray:
+        return marked[np.searchsorted(marked, indices)] == indices
+
     slot = _SEED_SLOT[config.strategy]
-    marked = np.fromiter(config.global_marked, dtype=np.int64)
+    # The sorted marked indices, then db_size, which is no item, so every
+    # searchsorted position of an item indexes this array.
+    marked = np.array([*sorted(config.global_marked), config.db_size], dtype=np.int64)
     size = config.db_size // len(which)
     offsets = np.arange(len(which), dtype=np.int64) * size
     merge_qubits = steps = np.zeros(len(trials), dtype=np.int64)
@@ -469,7 +474,7 @@ def _merge(
         steps = count_decision_steps(winners)
     elif config.strategy == SEMICLASSICAL_VERIFY:
         recovered = offsets + readouts
-        winners = np.isin(recovered, marked)
+        winners = is_marked(recovered)
     else:
         for stage in range(1, _rounds(config)):
             if not len(rows):
@@ -482,8 +487,8 @@ def _merge(
         recovered = offsets + readouts
     # A trial is correct when no winner reports a non-solution and it has a
     # winner exactly when the configuration has a solution.
-    wrong = (winners & ~np.isin(recovered, marked)).any(axis=1)
-    correct = ~wrong & (winners.any(axis=1) == bool(marked.size))
+    wrong = (winners & ~is_marked(recovered)).any(axis=1)
+    correct = ~wrong & (winners.any(axis=1) == bool(config.global_marked))
     return TrialColumns(readouts, winners, recovered, correct, merge_qubits, steps)
 
 
@@ -521,7 +526,7 @@ def run_trials(config: ExperimentConfig) -> Trials:
     """Prepare the slices of ``config`` and stream its trials' merged columns."""
     prepared, which = prepare(config)
     depth = max(p.ledger.grover_iterations for p in prepared)
-    order = np.argsort(which, kind="stable")
+    order = np.concatenate([np.flatnonzero(which == k) for k in range(len(prepared))])
     chunk = max(1, _BLOCK_KEYS // len(which))
     chunks = (
         _merge(config, prepared, which, order, range(first, min(first + chunk, config.trials)))

@@ -444,6 +444,22 @@ class TestInternalErrors:
         assert captured.err == f"internal error: out of memory: {detail}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_interrupt_exits_130_with_one_line_and_no_report(
+        self, monkeypatch, capsys, tmp_path, out
+    ):
+        def interrupt(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "summarize", interrupt)
+        target = ["--out", str(tmp_path / "report.json")] if out else []
+        code = run_command([*BASE, "--strategy", "repeat", "--trials", "2", *target])
+        assert code == 130
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEmitReport:
     def report(self):

@@ -129,6 +129,18 @@ def configs(draw, max_marked: int = 4) -> ExperimentConfig:
 @example(
     ExperimentConfig(16, 4, frozenset(), SEMICLASSICAL_REPEAT, seed=1, trials=4, repeat_rounds=2)
 )
+@example(ExperimentConfig(16, 4, frozenset(), SEMICLASSICAL_VERIFY, seed=1, trials=4))
+@example(ExperimentConfig(16, 4, frozenset(), SEQUENTIAL, seed=1, trials=4))
+# Every item of slice 1 marked: it is scheduled 0 iterations and wins
+# wherever it is measured.
+@example(ExperimentConfig(16, 4, frozenset({4, 5, 6, 7}), SEMICLASSICAL_VERIFY, seed=1, trials=4))
+@example(
+    ExperimentConfig(16, 4, frozenset({4, 5, 6, 7}), SEMICLASSICAL_REPEAT, seed=2, trials=8,
+                     repeat_rounds=2)
+)
+# The smallest and the largest index marked.
+@example(ExperimentConfig(16, 4, frozenset({0, 15}), SEMICLASSICAL_VERIFY, seed=1, trials=4))
+@example(ExperimentConfig(16, 1, frozenset({0, 15}), SEQUENTIAL, seed=3, trials=6))
 def test_pipeline_matches_dense_chain(cfg):
     # Every draw the merged columns expose, trial by trial: -1 (repeat
     # rounds that disagreed) reads as the dense chain's None. A trial is

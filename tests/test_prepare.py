@@ -221,21 +221,6 @@ def test_draw_memory_does_not_grow_with_repeat_rounds():
     assert peak(31) <= peak(3) + (256 << 10)
 
 
-def test_hash_temporaries_of_one_key_block():
-    # One _BLOCK_KEYS call as the engine makes it: 64 trials x 64 slices.
-    # The hash holds its pool as (4, n) uint32 lanes and the PCG64 step as
-    # 64-bit words.
-    trials, subs = np.divmod(np.arange(distributed._BLOCK_KEYS), 64)
-    distributed.first_draws(1, 2, 0, trials, subs)  # warm-up
-    tracemalloc.start()
-    try:
-        distributed.first_draws(1, 2, 0, trials, subs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.7 * (1 << 20)
-
-
 # Masses: zero, or any float from 2^-80 to 1. The engine's masses are
 # never subnormal, where a product would lose its relative precision.
 masses = st.just(0.0) | st.floats(2.0**-80, 1.0)
