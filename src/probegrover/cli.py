@@ -18,7 +18,6 @@ interrupted (SIGINT) while running or summarizing, with no report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -132,8 +131,8 @@ def emit_report(
     if output_format == "json":
         payload = {
             "config": config,
-            "summaries": [dataclasses.asdict(s) for s in summaries],
-            "comparison": [dataclasses.asdict(row) for row in rows],
+            "summaries": [s._asdict() for s in summaries],
+            "comparison": [row._asdict() for row in rows],
             "seed": config["seed"],
             "version": __version__,
         }
@@ -144,8 +143,8 @@ def emit_report(
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(f.name for f in dataclasses.fields(StrategyRow))
-        writer.writerows(dataclasses.astuple(row) for row in rows)
+        writer.writerow(StrategyRow._fields)
+        writer.writerows(rows)
         rendered = buffer.getvalue()
     if destination is None:
         sys.stdout.write(rendered)

@@ -140,8 +140,7 @@ def _marked_set(marked) -> frozenset[int]:
     return frozenset(_integer("marked index", i) for i in items)
 
 
-@dataclass(frozen=True)
-class WinnerDecision:
+class WinnerDecision(NamedTuple):
     """Result of scanning probe bits: set-bit positions and the number of
     binary-tree decisions the scan consumed."""
 
@@ -497,11 +496,14 @@ def _fixed_cost(config: ExperimentConfig, prepared: list, which: np.ndarray) -> 
     search and measurements, plus verify's one classical call per slice.
 
     Slices that share a preparation share its ledger, so each distinct
-    ledger is summed once, weighted by its slice count.
+    ledger is summed once, weighted by its slice count, in Python ints: a
+    numpy matmul here would fault in code pages no other stage uses.
     """
     classical = len(which) if config.strategy == SEMICLASSICAL_VERIFY else 0
-    totals = np.array([astuple(p.ledger) for p in prepared]).T @ np.bincount(which)
-    return CostLedger(*totals.tolist()) + CostLedger(classical_oracle_calls=classical)
+    counts = np.bincount(which).tolist()
+    columns = zip(*(astuple(p.ledger) for p in prepared))
+    totals = (sum(n * value for n, value in zip(counts, column)) for column in columns)
+    return CostLedger(*totals) + CostLedger(classical_oracle_calls=classical)
 
 
 class Trials(NamedTuple):

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,7 @@ MAX_QUBITS = 24
 _FIXED_BITS = 256
 
 
-@dataclass
-class GroverRunStats:
+class GroverRunStats(NamedTuple):
     """Per-run cost and quality; each iteration makes one phase-oracle call."""
 
     iterations: int = 0

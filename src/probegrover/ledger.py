@@ -12,7 +12,7 @@ and local indices is counted as zero cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -45,8 +45,7 @@ class CostLedger:
 _LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(NamedTuple):
     """Aggregate of repeated runs of one strategy on one configuration.
 
     ``mean_ledger`` holds per-field averages of the total ledgers;
@@ -66,8 +65,7 @@ class TrialSummary:
     mean_iteration_depth: float
 
 
-@dataclass(frozen=True)
-class StrategyRow:
+class StrategyRow(NamedTuple):
     """One comparison-table row; iteration column is critical-path depth."""
 
     strategy: str

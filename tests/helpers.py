@@ -179,26 +179,42 @@ def binomial_band(n: int, p: float, alpha: Fraction = Fraction(1, 10**6)) -> tup
     probability below ``alpha``, at most alpha / 2 in each tail.
 
     The tails are exact integer sums over ``p``'s binary fraction a / d,
-    walked down from ``n`` hits: ``high`` is the first count whose upper tail
-    P(X >= k) exceeds alpha / 2 and ``low`` the first whose upper tail
-    exceeds 1 - alpha / 2, the interval ``scipy.stats.binom.interval`` gives.
+    walked from the end of the range nearer the mass, so a walk takes about
+    n * min(p, 1 - p) steps. From ``n`` hits down (p above 1/2), ``high`` is
+    the first count whose upper tail P(X >= k) exceeds alpha / 2 and ``low``
+    the first whose upper tail exceeds 1 - alpha / 2; from 0 hits up, ``low``
+    is the first count whose lower tail P(X <= k) reaches alpha / 2 and
+    ``high`` the first whose lower tail reaches 1 - alpha / 2. Both give the
+    interval ``scipy.stats.binom.interval`` gives.
     """
     a, d = Fraction(p).as_integer_ratio()
     if a == 0:
         return 0, 0
     whole = d**n  # every tail below is scaled by d ** n
     half = alpha / 2
-    # The k-hit term comb(n, k) * a**k * (d - a)**(n - k), walked down from
-    # k = n: the step to k - 1 multiplies by k * (d - a) and divides exactly
-    # by (n - k + 1) * a.
-    term, tail, high = a**n, 0, None
-    for k in range(n, -1, -1):
-        tail += term
-        term = term * k * (d - a) // ((n - k + 1) * a)
-        if high is None and tail * half.denominator > half.numerator * whole:
-            high = k
-        if tail * half.denominator > (half.denominator - half.numerator) * whole:
-            return k, high
+    if 2 * a > d:
+        # The k-hit term comb(n, k) * a**k * (d - a)**(n - k), walked down
+        # from k = n: the step to k - 1 multiplies by k * (d - a) and divides
+        # exactly by (n - k + 1) * a.
+        term, tail, high = a**n, 0, None
+        for k in range(n, -1, -1):
+            tail += term
+            term = term * k * (d - a) // ((n - k + 1) * a)
+            if high is None and tail * half.denominator > half.numerator * whole:
+                high = k
+            if tail * half.denominator > (half.denominator - half.numerator) * whole:
+                return k, high
+    else:
+        # The same term walked up from k = 0: the step to k + 1 multiplies
+        # by (n - k) * a and divides exactly by (k + 1) * (d - a).
+        term, tail, low = (d - a) ** n, 0, None
+        for k in range(n + 1):
+            tail += term
+            term = term * (n - k) * a // ((k + 1) * (d - a))
+            if low is None and tail * half.denominator >= half.numerator * whole:
+                low = k
+            if tail * half.denominator >= (half.denominator - half.numerator) * whole:
+                return low, k
     raise AssertionError("the tails sum to 1")
 
 

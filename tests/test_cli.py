@@ -340,20 +340,28 @@ def test_cli_run_never_imports_numpy_random(tmp_path):
     # in plain Python. Nor fractions (about 0.45 MiB): the exact masses are
     # integer arithmetic and one int / int division. Nor csv, which only a
     # CSV report imports. Nor the dense layer (statevector): the engine
-    # samples two masses.
+    # samples two masses. Of the classes those modules define, only the two
+    # whose constructors validate are dataclasses: a @dataclass execs several
+    # generated methods when its class is defined (six five-field ones take
+    # 4-7 ms, six NamedTuples about 1 ms), so plain records are NamedTuples.
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
     result = run_python(
-        "import sys\n"
+        "import dataclasses, sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
         "unused = ('numpy.random', 'numpy.ma', 'fractions', 'csv')\n"
         "print(code, *(m in sys.modules for m in unused))\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'probegrover'))\n"
+        "loaded = [v for m, v in sys.modules.items() if m.split('.')[0] == 'probegrover']\n"
+        "print(*sorted(m.__name__ for m in loaded))\n"
+        "print(*sorted(name for m in loaded for name, value in vars(m).items()\n"
+        "    if isinstance(value, type) and value.__module__ == m.__name__\n"
+        "    and dataclasses.is_dataclass(value)))\n"
     )
     assert result.stdout.splitlines() == [
         "0 False False False False",
         "probegrover probegrover.cli probegrover.distributed probegrover.errors "
         "probegrover.grover probegrover.ledger probegrover.seeding",
+        "CostLedger ExperimentConfig",
     ], result.stderr
 
 

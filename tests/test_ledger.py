@@ -105,6 +105,18 @@ class TestLedgerConservation:
         expected = sub_total + CostLedger(classical_oracle_calls=4)
         assert ledgers(*trial_columns(cfg)) == [expected] * 20
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_fixed_cost_is_the_per_slice_sum_at_many_slices(self, strategy):
+        # 4,096 two-item slices: 0 and 5 share local pattern {1}, 4,000 holds
+        # {0}, and the other 4,093 share the solution-free preparation, so
+        # each preparation's ledger is weighted by a different slice count.
+        cfg = ExperimentConfig(2**13, 2**12, {1, 11, 8000}, strategy, seed=3)
+        classical = cfg.num_subsystems if strategy == SEMICLASSICAL_VERIFY else 0
+        expected = sum(slice_ledgers(cfg), CostLedger()) + CostLedger(
+            classical_oracle_calls=classical
+        )
+        assert run_trials(cfg).fixed == expected
+
     def test_subsystem_iterations_never_exceed_sequential(self):
         cfg = ExperimentConfig(
             db_size=1024,
