@@ -22,10 +22,7 @@ _EXPORTS = {
         "errors",
     ),
     **dict.fromkeys(
-        [
-            "GroverRunStats", "is_power_of_two", "iteration_count", "run_grover",
-            "success_probability",
-        ],
+        ["GroverRunStats", "iteration_count", "run_grover", "success_probability"],
         "grover",
     ),
     **dict.fromkeys(

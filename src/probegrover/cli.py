@@ -18,7 +18,6 @@ interrupted (SIGINT) while running or summarizing, with no report.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import stat
@@ -136,16 +135,10 @@ def emit_report(
             "seed": config["seed"],
             "version": __version__,
         }
-        # ``default=sorted`` renders the frozenset ``TrialSummary.marked``.
-        rendered = json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n"
+        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        import csv  # only a CSV report needs it; a JSON run never loads it
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(StrategyRow._fields)
-        writer.writerows(rows)
-        rendered = buffer.getvalue()
+        # A strategy name and six floats never need quoting.
+        rendered = "".join(f"{','.join(map(str, row))}\n" for row in [StrategyRow._fields, *rows])
     if destination is None:
         sys.stdout.write(rendered)
         return

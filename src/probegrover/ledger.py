@@ -48,7 +48,8 @@ _LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 class TrialSummary(NamedTuple):
     """Aggregate of repeated runs of one strategy on one configuration.
 
-    ``mean_ledger`` holds per-field averages of the total ledgers;
+    ``marked`` is the sorted tuple of marked indices, as the report prints
+    it; ``mean_ledger`` holds per-field averages of the total ledgers;
     ``mean_iteration_depth`` averages the critical-path iteration count
     (the deepest single sub-system, since sub-systems run in parallel).
     """
@@ -56,7 +57,7 @@ class TrialSummary(NamedTuple):
     strategy: str
     db_size: int
     num_subsystems: int
-    marked: frozenset[int]
+    marked: tuple[int, ...]
     trials: int
     successes: int
     misses: int
@@ -106,7 +107,7 @@ def summarize(trials: "Trials") -> TrialSummary:
         strategy=config.strategy,
         db_size=config.db_size,
         num_subsystems=config.num_subsystems,
-        marked=config.global_marked,
+        marked=tuple(sorted(config.global_marked)),
         trials=n,
         successes=successes,
         misses=misses,
@@ -134,8 +135,8 @@ def compare_strategies(summaries: Sequence[TrialSummary]) -> list[StrategyRow]:
         if (summary.db_size, summary.marked) != (first.db_size, first.marked):
             raise UsageError(
                 "summaries compare different search problems: "
-                f"(db_size={summary.db_size}, marked={sorted(summary.marked)}) vs "
-                f"(db_size={first.db_size}, marked={sorted(first.marked)})"
+                f"(db_size={summary.db_size}, marked={list(summary.marked)}) vs "
+                f"(db_size={first.db_size}, marked={list(first.marked)})"
             )
     for summary in distributed:
         if summary.num_subsystems != distributed[0].num_subsystems:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class StateVector:
         return 1 << self.num_qubits
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Outcome of measuring a register: basis index, its Born probability,
     and how many qubits the measurement consumed."""
 
@@ -75,8 +74,7 @@ class MeasurementRecord:
     qubits_measured: int
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """Result of reading the probe qubit alone: one bit, at the cost of a
     single qubit measurement."""
 

@@ -338,19 +338,23 @@ def test_cli_run_never_imports_numpy_random(tmp_path):
     # Generator; importing numpy.random alone adds several MiB of peak RSS.
     # Nor numpy.ma (about 12 ms and 0.6 MiB): the marked indices are bucketed
     # in plain Python. Nor fractions (about 0.45 MiB): the exact masses are
-    # integer arithmetic and one int / int division. Nor csv, which only a
-    # CSV report imports. Nor the dense layer (statevector): the engine
-    # samples two masses. Of the classes those modules define, only the two
-    # whose constructors validate are dataclasses: a @dataclass execs several
-    # generated methods when its class is defined (six five-field ones take
-    # 4-7 ms, six NamedTuples about 1 ms), so plain records are NamedTuples.
+    # integer arithmetic and one int / int division. Nor csv, not even for a
+    # CSV report: its rows are joined with commas. Nor the dense layer
+    # (statevector): the engine samples two masses. Of the classes those
+    # modules define, only the two whose constructors validate are
+    # dataclasses: a @dataclass execs several generated methods when its
+    # class is defined (six five-field ones take 4-7 ms, six NamedTuples
+    # about 1 ms), so plain records are NamedTuples.
     argv = [*BASE, "--strategy", "all", "--trials", "20", "--out", str(tmp_path / "r.json")]
+    csv_argv = [*argv[:-1], str(tmp_path / "r.csv"), "--format", "csv"]
     result = run_python(
         "import dataclasses, sys\n"
         "from probegrover.cli import run_command\n"
         f"code = run_command({argv!r})\n"
         "unused = ('numpy.random', 'numpy.ma', 'fractions', 'csv')\n"
         "print(code, *(m in sys.modules for m in unused))\n"
+        f"code = run_command({csv_argv!r})\n"
+        "print(code, 'csv' in sys.modules)\n"
         "loaded = [v for m, v in sys.modules.items() if m.split('.')[0] == 'probegrover']\n"
         "print(*sorted(m.__name__ for m in loaded))\n"
         "print(*sorted(name for m in loaded for name, value in vars(m).items()\n"
@@ -359,6 +363,7 @@ def test_cli_run_never_imports_numpy_random(tmp_path):
     )
     assert result.stdout.splitlines() == [
         "0 False False False False",
+        "0 False",
         "probegrover probegrover.cli probegrover.distributed probegrover.errors "
         "probegrover.grover probegrover.ledger probegrover.seeding",
         "CostLedger ExperimentConfig",

@@ -6,9 +6,11 @@ iterations, the paper's schedule, and its two outcome masses are exact
 Slices draw independently, so the per-trial law of a count summed over the
 slices is the convolution of each slice's own law. The whole histogram of
 each count is checked, not only its mean: every cell inside its
-``binomial_band`` at alpha 1e-6 divided by the number of cells. A per-slice
-rate cannot see two slices whose draws are correlated (because they share a
-seed key, say); the histogram of their sum can.
+``binomial_band`` at alpha 1e-6 divided by the number of possible cells,
+and every impossible cell empty. A per-slice rate cannot see two slices
+whose draws are correlated (because they share a seed key, say); the
+histogram of their sum can. The probe's decision steps are counted on the
+OR tree over the slices, one pattern of fired slices at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +33,10 @@ ALPHA = Fraction(1, 10**6)
 
 # Four 8-item slices; 0 and 1, adjacent, each hold local index 5.
 ADJACENT = ExperimentConfig(32, 4, {5, 13}, PROBE, seed=1, trials=10_000)
+
+# Eight 8-item slices; 0 and 1, adjacent, hold local index 5, and 7 holds
+# local index 5 far from them.
+SPREAD = ExperimentConfig(64, 8, {5, 13, 61}, PROBE, seed=1, trials=10_000)
 
 # Sixteen 4-item slices; 0 and 1 each hold local indices 1 and 2, and the
 # other 14 hold no solution.
@@ -70,13 +77,21 @@ def count_law(probabilities: list[Fraction]) -> list[Fraction]:
     return reduce(add_event, probabilities, [Fraction(1)])
 
 
+def or_tree_nodes(fired: list[int], m: int) -> int:
+    """How many internal nodes of the balanced OR tree over m slices have a
+    fired slice in their range: at node width w, the distinct s // w."""
+    widths = [m >> level for level in range(m.bit_length() - 1)]
+    return sum(len({s // w for s in fired}) for w in widths)
+
+
 def assert_histogram(counts: np.ndarray, law: list[Fraction]) -> None:
     """Each cell of the histogram of ``counts`` inside its binomial band, the
-    bands sharing alpha."""
+    bands of the possible cells sharing alpha; an impossible cell reads 0."""
     observed = np.bincount(counts, minlength=len(law)).tolist()
     assert len(observed) == len(law), f"counts above {len(law) - 1}: {observed}"
+    possible = sum(1 for p in law if p)
     for k, (seen, p) in enumerate(zip(observed, law)):
-        low, high = binomial_band(len(counts), p, ALPHA / len(law))
+        low, high = binomial_band(len(counts), p, ALPHA / possible)
         assert low <= seen <= high, f"{seen} trials count {k}, band {low}-{high}: {observed}"
 
 
@@ -114,3 +129,26 @@ def test_repeat_wrong_agreements_per_trial_over_free_slices():
     _, columns = trial_columns(cfg)
     solution = np.isin(columns.recovered, sorted(cfg.global_marked))
     assert_histogram((columns.winners & ~solution).sum(axis=1), law)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_probe_decision_steps_per_trial_follow_the_or_tree(seed):
+    # The scan takes one decision at each OR-tree node whose range holds a
+    # fired slice. Over slices 0, 1 and 7, each firing with p = 121/128:
+    # none fires (0 steps), one fires or only 0 and 1 do (3), or 7 fires
+    # with 0 or 1 (5). Slices that drew together would fire 0 and 1 as one,
+    # giving 3 steps about twice as often.
+    cfg = replace(SPREAD, seed=seed)
+    n, held = marked_per_slice(cfg)
+    slices, hits = zip(*[(s, t * masses(n, t)[1]) for s, t in enumerate(held) if t])
+    # The tree has M - 1 internal nodes, so a trial takes 0 to M - 1 steps.
+    law = [Fraction(0)] * cfg.num_subsystems
+    for pattern in product([False, True], repeat=len(slices)):
+        fired = [s for s, fire in zip(slices, pattern) if fire]
+        weight = math.prod(p if fire else 1 - p for p, fire in zip(hits, pattern))
+        law[or_tree_nodes(fired, cfg.num_subsystems)] += weight
+    q = 1 - Fraction(121, 128)
+    three, five = q * (1 - q**2) + (1 - q) * q**2, (1 - q) * (1 - q**2)
+    assert law == [q**3, 0, 0, three, 0, five, 0, 0]
+    _, columns = trial_columns(cfg)
+    assert_histogram(columns.decision_steps, law)

@@ -20,9 +20,7 @@ names that version.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,8 +28,9 @@ import pytest
 from probegrover import __version__
 from probegrover.cli import run_command
 
+from helpers import PERFBENCH, load_perfbench
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
-BENCH_DIR = Path(__file__).parents[1] / "perfbench"
 COMMON = [
     "--db-size", "64", "--subsystems", "4", "--marked", "37,5",
     "--trials", "200", "--repeat-rounds", "3", "--seed", "1",
@@ -59,22 +58,12 @@ def test_report_bytes_match_golden(tmp_path, argv, stem, fmt):
     assert out.read_bytes() == (GOLDEN_DIR / f"{stem}.{fmt}").read_bytes()
 
 
-def _bench_workloads() -> dict:
-    """``perfbench/workloads.py``'s workloads; that directory is no package."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses resolve their module through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _bench_workloads()
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_bench_reports_match_their_0_1_0_digests(capsys, name):
-    pins = json.loads((BENCH_DIR / "digests.json").read_text())
+    pins = json.loads((PERFBENCH / "digests.json").read_text())
     assert pins["seed"] == 1
     assert run_command(WORKLOADS[name].argv(1)) == 0
     report = capsys.readouterr().out

@@ -319,7 +319,7 @@ def test_summary_equals_a_hand_fold_of_the_columns(cfg, block_keys):
         strategy=cfg.strategy,
         db_size=cfg.db_size,
         num_subsystems=cfg.num_subsystems,
-        marked=cfg.global_marked,
+        marked=tuple(sorted(cfg.global_marked)),
         trials=n,
         successes=successes,
         misses=misses,
